@@ -25,6 +25,7 @@ from .errors import BudgetExceededError
 from .fields import (
     PrimeField,
     VectorIndex,
+    differences,
     hamming_ball_size,
     hamming_distance,
     hamming_weight,
@@ -37,7 +38,7 @@ from .functions import (
     image_size,
     kernel_weight_sum,
 )
-from .graph import EXACT_ALPHA_LIMIT, build_graph
+from .graph import EXACT_ALPHA_LIMIT, _cayley_rows, build_graph
 from .mis import DEFAULT_NODE_BUDGET, max_independent_set
 from .spectrum import eigenvalue_redundancy_bound
 
@@ -75,23 +76,6 @@ class AqEstimate:
         if self.kind == "table_lower":
             return "lower"
         return "upper"
-
-
-def _conflict_rows(q: int, n: int, d: int) -> list[int]:
-    """Bit-packed graph on all vectors, adjacent when distance < d."""
-    total = q**n
-    if q == 2:
-        diffs = [z for z in range(1, total) if z.bit_count() < d]
-        return [sum(1 << (i ^ z) for z in diffs) for i in range(total)]
-    index = VectorIndex(q, n)
-    vecs = [index.vector(i) for i in range(total)]
-    rows = [0] * total
-    for i in range(total):
-        for j in range(i + 1, total):
-            if hamming_distance(vecs[i], vecs[j]) < d:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return rows
 
 
 @lru_cache(maxsize=4096)
@@ -139,10 +123,12 @@ def a_q_exact(
         raise ValueError(
             f"exact search limited to {AQ_EXACT_LIMIT} words; q^n = {q ** n}"
         )
-    rows = _conflict_rows(q, n, d)
+    # Words closer than d conflict: a Cayley graph with connection set
+    # {z : 1 <= wt(z) < d}.
+    total = q**n
+    rows = _cayley_rows(q, total, differences(q, n, 1, d - 1))
     # Any maximum code can be translated to contain the zero word, so fix it
     # and search the subgraph of words at distance >= d from zero.
-    total = q**n
     keep = [v for v in range(1, total) if not rows[0] >> v & 1]
     pos = {v: i for i, v in enumerate(keep)}
     sub = []
@@ -521,6 +507,11 @@ class BoundReport:
     optimal: bool | None = None
 
 
+class _NotApplicable(Exception):
+    """Raised by a bound provider that does not apply; the message is the
+    entry's note."""
+
+
 def bound_report(
     f: FunctionSpec,
     t: int,
@@ -535,164 +526,71 @@ def bound_report(
     if t < 1:
         raise ValueError("t must be >= 1")
     q, k = f.q, f.k
-    entries: list[BoundEntry] = []
 
-    entries.append(
-        BoundEntry(
-            name="distance_2t",
-            sense="lower",
-            rational=Fraction(two_t_bound(f, t)),
-            integer=two_t_bound(f, t),
-            note="0 for constant functions",
-        )
-    )
+    # Each provider returns (rational, integer, note) or raises
+    # _NotApplicable; integer-valued bounds are reported through whole.
+    def whole(value: int, note: str = ""):
+        return Fraction(value), value, note
 
-    if f.mode == "linear" and f.l >= 1:
+    def distance_2t():
+        return whole(two_t_bound(f, t), "0 for constant functions")
+
+    def linear_averaging():
+        if f.mode != "linear" or f.l < 1:
+            raise _NotApplicable("needs a non-constant linear function")
         val = plotkin_linear_bound(f, t)
-        entries.append(
-            BoundEntry(
-                name="linear_averaging",
-                sense="lower",
-                rational=val,
-                integer=_ceil_frac(val),
-                note="closed form from kernel weights",
-            )
-        )
-    else:
-        entries.append(
-            BoundEntry(
-                name="linear_averaging",
-                sense="lower",
-                rational=None,
-                integer=None,
-                note="needs a non-constant linear function",
-            )
-        )
+        # Redundancy is never negative, so a negative closed form says no more
+        # than 0 does.
+        return val, max(0, _ceil_frac(val)), "closed form from kernel weights"
 
-    if q == 2:
+    def pairwise_averaging():
+        if q != 2:
+            raise _NotApplicable("binary alphabets only")
         try:
             val = binary_plotkin_bound(build_drm(f, t))
-            entries.append(
-                BoundEntry(
-                    name="pairwise_averaging",
-                    sense="lower",
-                    rational=val,
-                    integer=_ceil_frac(val),
-                    note="average over all requirement pairs",
-                )
-            )
         except ValueError as exc:
-            entries.append(
-                BoundEntry(
-                    name="pairwise_averaging",
-                    sense="lower",
-                    rational=None,
-                    integer=None,
-                    note=str(exc),
-                )
-            )
-    else:
-        entries.append(
-            BoundEntry(
-                name="pairwise_averaging",
-                sense="lower",
-                rational=None,
-                integer=None,
-                note="binary alphabets only",
-            )
-        )
+            raise _NotApplicable(str(exc)) from exc
+        return val, _ceil_frac(val), "average over all requirement pairs"
 
-    if q**k <= EXACT_ALPHA_LIMIT:
-        try:
-            alpha = max_independent_set(
-                build_graph(f, t, 0).rows,
-                node_budget=node_budget,
-                deadline=deadline,
-            ).size
-            entries.append(
-                BoundEntry(
-                    name="independence",
-                    sense="lower",
-                    rational=Fraction(theorem1_bound(f, t, alpha)),
-                    integer=theorem1_bound(f, t, alpha),
-                    note=f"exact alpha = {alpha} at r=0",
-                )
-            )
-        except BudgetExceededError as exc:
-            entries.append(
-                BoundEntry(
-                    name="independence",
-                    sense="lower",
-                    rational=None,
-                    integer=None,
-                    note=f"budget: {exc}",
-                )
-            )
-    else:
-        entries.append(
-            BoundEntry(
-                name="independence",
-                sense="lower",
-                rational=None,
-                integer=None,
-                note=f"q^k = {q ** k} exceeds the exact-solver limit",
-            )
-        )
+    def independence():
+        if q**k > EXACT_ALPHA_LIMIT:
+            raise _NotApplicable(f"q^k = {q ** k} exceeds the exact-solver limit")
+        alpha = max_independent_set(
+            build_graph(f, t, 0).rows, node_budget=node_budget, deadline=deadline
+        ).size
+        return whole(theorem1_bound(f, t, alpha), f"exact alpha = {alpha} at r=0")
 
-    if f.mode == "linear":
+    def eigenvalue():
+        if f.mode != "linear":
+            raise _NotApplicable("linear functions only")
         res = eigenvalue_redundancy_bound(f, t, r_max)
         note = "scan exhausted; true bound may be larger" if res.exhausted else ""
-        entries.append(
-            BoundEntry(
-                name="eigenvalue",
-                sense="lower",
-                rational=Fraction(res.value),
-                integer=res.value,
-                note=note,
-            )
-        )
-    else:
-        entries.append(
-            BoundEntry(
-                name="eigenvalue",
-                sense="lower",
-                rational=None,
-                integer=None,
-                note="linear functions only",
-            )
-        )
+        return whole(res.value, note)
 
-    try:
-        val = fdm_upper_bound(f, t, max_order=max_order, deadline=deadline)
-        entries.append(
-            BoundEntry(
-                name="code_search",
-                sense="upper",
-                rational=Fraction(val),
-                integer=val,
-                note="exact parity-code search on the function-distance matrix",
-            )
-        )
-    except BudgetExceededError as exc:
-        entries.append(
-            BoundEntry(
-                name="code_search",
-                sense="upper",
-                rational=None,
-                integer=None,
-                note=f"budget: {exc}",
-            )
-        )
-    except ValueError as exc:
-        entries.append(
-            BoundEntry(
-                name="code_search",
-                sense="upper",
-                rational=None,
-                integer=None,
-                note=str(exc),
-            )
-        )
+    def code_search():
+        try:
+            val = fdm_upper_bound(f, t, max_order=max_order, deadline=deadline)
+        except ValueError as exc:
+            raise _NotApplicable(str(exc)) from exc
+        return whole(val, "exact parity-code search on the function-distance matrix")
+
+    providers = (
+        ("distance_2t", "lower", distance_2t),
+        ("linear_averaging", "lower", linear_averaging),
+        ("pairwise_averaging", "lower", pairwise_averaging),
+        ("independence", "lower", independence),
+        ("eigenvalue", "lower", eigenvalue),
+        ("code_search", "upper", code_search),
+    )
+    entries = []
+    for name, sense, provide in providers:
+        try:
+            rational, integer, note = provide()
+        except _NotApplicable as exc:
+            rational, integer, note = None, None, str(exc)
+        except BudgetExceededError as exc:
+            rational, integer, note = None, None, f"budget: {exc}"
+        entries.append(BoundEntry(name, sense, rational, integer, note))
 
     optimal: bool | None = None
     if f.mode == "linear":

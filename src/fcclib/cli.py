@@ -22,6 +22,7 @@ from .distance import build_drm, build_fdm, matrix_from_lists, n_q_exact
 from .errors import BudgetExceededError, CodeNotFoundError, DecodingFailureError
 from .formats import (
     label_text,
+    parse_digit_word,
     parse_inline_rows,
     read_aq_table,
     read_encoder_file,
@@ -344,10 +345,7 @@ def cmd_verify(args, argv) -> int:
 def cmd_decode(args, argv) -> int:
     f = _load_function(args)
     E = read_encoder_file(args.encoder, f)
-    word = args.word.strip()
-    if not word.isdigit():
-        raise ValueError(f"received word must be a digit string, got {word!r}")
-    label = graph_decode(E, tuple(int(ch) for ch in word))
+    label = graph_decode(E, parse_digit_word(args.word.strip(), f.q))
     _emit_json({"meta": _meta(args, argv), "label": label_text(label)}, args.out)
     return EX_OK
 

@@ -4,7 +4,8 @@ For linear functions whose matrix has exactly l distinct non-zero columns,
 unit vectors picked from those columns span a transversal of minimum-weight
 coset representatives.  Messages then inherit the parity word of their
 coset's representative, so a parity set designed for the q^l representatives
-protects the whole space.
+protects the whole space.  Such encoders are ordinary ``FccEncoder`` tables:
+``graph.verify_fcc`` and ``graph.decode`` serve them like any other.
 """
 
 from __future__ import annotations
@@ -18,15 +19,15 @@ from .distance import (
     matrix_from_lists,
     verify_d_code,
 )
-from .errors import CodeNotFoundError, DecodingFailureError
-from .fields import ENUMERATION_LIMIT, VectorIndex, hamming_distance
+from .errors import CodeNotFoundError
+from .fields import ENUMERATION_LIMIT, VectorIndex
 from .functions import (
     FunctionSpec,
     _require_linear,
     classify,
     coset_decomposition,
 )
-from .graph import FccEncoder, decode as graph_decode
+from .graph import FccEncoder
 
 
 @dataclass(frozen=True)
@@ -169,42 +170,3 @@ def reduced_problem(f: FunctionSpec, t: int) -> DistanceMatrix:
         [0 if i == j else 2 * t for j in range(size)] for i in range(size)
     ]
     return matrix_from_lists(entries, labels=labels)
-
-
-def cosetwise_decode(E: FccEncoder, y: tuple[int, ...]):
-    """Function value of the nearest codeword, enumerated coset by coset.
-
-    Same contract as the generic decoder; the per-coset sweep reuses one
-    parity-distance computation for all messages sharing a parity word.
-    """
-    q, k, r = E.f.q, E.f.k, E.r
-    if len(y) != k + r:
-        raise ValueError(f"received word must have length {k + r}")
-    if any(not 0 <= d < q for d in y):
-        raise ValueError(f"received word {y} has symbols outside F_{q}")
-    head, tail = tuple(y[:k]), tuple(y[k:])
-    dec = coset_decomposition(E.f)
-    if any(
-        E.parity[rank] != E.parity[ranks[0]]
-        for ranks in dec.classes
-        for rank in ranks
-    ):
-        # Not a coset-wise encoder; fall back to the generic decoder.
-        return graph_decode(E, y)
-    msg_index = VectorIndex(q, k)
-    best_d = None
-    best_label = None
-    for label, ranks in zip(dec.labels, dec.classes):
-        tail_d = hamming_distance(E.parity[ranks[0]], tail)
-        if best_d is not None and tail_d >= best_d:
-            continue
-        for rank in ranks:
-            d = tail_d + hamming_distance(msg_index.vector(rank), head)
-            if best_d is None or d < best_d:
-                best_d = d
-                best_label = label
-    if best_d is None or best_d > E.t:
-        raise DecodingFailureError(
-            f"no codeword within distance {E.t} of the received word"
-        )
-    return best_label

@@ -8,13 +8,19 @@ first) are the vector's symbols.  ``VectorIndex`` realises that bijection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from math import comb
+from operator import mul
 
 #: Hard cap on how many vectors enumerate_vectors will materialise.
 ENUMERATION_LIMIT = 2**24
 
 FieldVec = tuple[int, ...]
+
+#: A difference vector z in sparse form: (rank of z, support, symbols), where
+#: support holds the places q^(n-1-position) of its non-zero positions and
+#: symbols the values there.  Its Hamming weight is len(support).
+Difference = tuple[int, tuple[int, ...], tuple[int, ...]]
 
 
 def is_prime(n: int) -> bool:
@@ -125,6 +131,37 @@ def hamming_distance(x: FieldVec, y: FieldVec) -> int:
     if len(x) != len(y):
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
     return sum(1 for a, b in zip(x, y) if a != b)
+
+
+def differences(q: int, n: int, lo: int, hi: int) -> list[Difference]:
+    """Every z in F_q^n with lo <= wt(z) <= hi, in sparse form, ordered by
+    weight, then by support, then by symbols."""
+    places = [q ** (n - 1 - p) for p in range(n)]
+    out = []
+    for w in range(max(lo, 0), min(hi, n) + 1):
+        symbol_choices = list(product(range(1, q), repeat=w))
+        for support in combinations(places, w):
+            for symbols in symbol_choices:
+                out.append((sum(map(mul, support, symbols)), support, symbols))
+    return out
+
+
+def translate(q: int, i: int, diffs) -> list[int]:
+    """Ranks of i + z for each difference z in ``diffs``.
+
+    This is the one place that adds vectors in rank form: XOR of ranks when
+    q = 2, a digit-wise sum on the support of z otherwise.
+    """
+    if q == 2:
+        return [i ^ z for z, _, _ in diffs]
+    out = []
+    for _, support, symbols in diffs:
+        j = i
+        for place, symbol in zip(support, symbols):
+            digit = i // place % q
+            j += ((digit + symbol) % q - digit) * place
+        out.append(j)
+    return out
 
 
 def vec_add(q: int, x: FieldVec, y: FieldVec) -> FieldVec:

@@ -2,8 +2,10 @@
 
 Every reader skips blank lines and lines starting with '#', so every writer
 may prepend provenance comments without breaking its own reader.  Renderers
-return the full file text; the write_* wrappers put it on disk.  Digit-string
-fields (parity words, adjacency rows, received words) assume q <= 10.
+return the full file text; callers put it on disk.  Digit-string fields
+(parity words, received words) hold one decimal digit per symbol, so their
+readers and renderers reject q > 10; function files separate their symbols
+with spaces and take any prime q.
 """
 
 from __future__ import annotations
@@ -30,6 +32,19 @@ def _data_lines(text: str) -> list[str]:
 
 def _comment_block(header_lines) -> str:
     return "".join(f"# {line}\n" for line in header_lines)
+
+
+def _require_digit_field(q: int) -> None:
+    if q > 10:
+        raise ValueError(f"digit-string words need q <= 10, got q={q}")
+
+
+def parse_digit_word(text: str, q: int) -> tuple[int, ...]:
+    """Symbols of a digit-string word over F_q, one decimal digit each."""
+    _require_digit_field(q)
+    if not text.isdigit():
+        raise ValueError(f"expected a digit string, got {text!r}")
+    return tuple(int(ch) for ch in text)
 
 
 def parse_inline_rows(text: str) -> list[list[int]]:
@@ -117,10 +132,6 @@ def render_function_file(f: FunctionSpec, header_lines=()) -> str:
     return _comment_block(header_lines) + "\n".join(lines) + "\n"
 
 
-def write_function_file(path, f: FunctionSpec, header_lines=()) -> None:
-    Path(path).write_text(render_function_file(f, header_lines))
-
-
 # -- distance matrices -------------------------------------------------------
 
 def read_matrix_csv(path) -> DistanceMatrix:
@@ -138,10 +149,6 @@ def render_matrix_csv(matrix: DistanceMatrix, header_lines=()) -> str:
     return _comment_block(header_lines) + body + "\n"
 
 
-def write_matrix_csv(path, matrix: DistanceMatrix, header_lines=()) -> None:
-    Path(path).write_text(render_matrix_csv(matrix, header_lines))
-
-
 # -- parity codes ------------------------------------------------------------
 
 def read_parity_file(path, q: int) -> ParityCode:
@@ -149,17 +156,14 @@ def read_parity_file(path, q: int) -> ParityCode:
     lines = _data_lines(Path(path).read_text())
     if not lines:
         raise ValueError(f"{path}: empty parity file")
-    words = tuple(tuple(int(ch) for ch in line) for line in lines)
+    words = tuple(parse_digit_word(line, q) for line in lines)
     return ParityCode(q=q, r=len(words[0]), words=words)
 
 
 def render_parity_file(code: ParityCode, header_lines=()) -> str:
+    _require_digit_field(code.q)
     body = "\n".join("".join(str(d) for d in w) for w in code.words)
     return _comment_block(header_lines) + body + "\n"
-
-
-def write_parity_file(path, code: ParityCode, header_lines=()) -> None:
-    Path(path).write_text(render_parity_file(code, header_lines))
 
 
 # -- encoder files -----------------------------------------------------------
@@ -167,15 +171,12 @@ def write_parity_file(path, code: ParityCode, header_lines=()) -> None:
 def render_encoder_file(E: FccEncoder, header_lines=()) -> str:
     """Header `q k r t`, then one `message_rank parity_digits` line per
     message ('-' stands for the empty parity word when r = 0)."""
+    _require_digit_field(E.q)
     lines = [f"{E.q} {E.k} {E.r} {E.t}"]
     for rank in range(E.q**E.k):
         word = "".join(str(d) for d in E.parity[rank])
         lines.append(f"{rank} {word or '-'}")
     return _comment_block(header_lines) + "\n".join(lines) + "\n"
-
-
-def write_encoder_file(path, E: FccEncoder, header_lines=()) -> None:
-    Path(path).write_text(render_encoder_file(E, header_lines))
 
 
 def read_encoder_file(path, f: FunctionSpec) -> FccEncoder:
@@ -188,6 +189,7 @@ def read_encoder_file(path, f: FunctionSpec) -> FccEncoder:
     if len(head) != 4:
         raise ValueError(f"{path}: header must be 'q k r t', got {lines[0]!r}")
     q, k, r, t = (int(x) for x in head)
+    _require_digit_field(q)
     if (q, k) != (f.q, f.k):
         raise ValueError(
             f"{path}: encoder is for q={q}, k={k}; the function has "
@@ -209,10 +211,10 @@ def read_encoder_file(path, f: FunctionSpec) -> FccEncoder:
             raise ValueError(f"{path}: message rank {rank} out of range")
         if parity[rank] is not None:
             raise ValueError(f"{path}: message rank {rank} listed twice")
-        word = "" if parts[1] == "-" else parts[1]
+        word = () if parts[1] == "-" else parse_digit_word(parts[1], q)
         if len(word) != r:
             raise ValueError(f"{path}: parity {parts[1]!r} does not have length {r}")
-        parity[rank] = tuple(int(ch) for ch in word)
+        parity[rank] = word
     return FccEncoder(f=f, t=t, r=r, parity=tuple(parity))  # type: ignore[arg-type]
 
 
@@ -257,24 +259,12 @@ def render_compare_csv(
     return _comment_block(header_lines) + "\n".join(lines) + "\n"
 
 
-def write_compare_csv(
-    path, rows, header_lines=(), include_table_columns: bool = False
-) -> None:
-    Path(path).write_text(
-        render_compare_csv(rows, header_lines, include_table_columns)
-    )
-
-
 # -- spectra -----------------------------------------------------------------
 
 def render_spectrum_csv(spectrum: Spectrum, header_lines=()) -> str:
     lines = ["index_rank,eigenvalue"]
     lines += [f"{i},{ev}" for i, ev in enumerate(spectrum.eigenvalues)]
     return _comment_block(header_lines) + "\n".join(lines) + "\n"
-
-
-def write_spectrum_csv(path, spectrum: Spectrum, header_lines=()) -> None:
-    Path(path).write_text(render_spectrum_csv(spectrum, header_lines))
 
 
 # -- adjacency ---------------------------------------------------------------
@@ -286,10 +276,6 @@ def render_adjacency_file(G: FccGraph, header_lines=()) -> str:
         for i in range(n)
     ]
     return _comment_block(header_lines) + "\n".join(lines) + "\n"
-
-
-def write_adjacency_file(path, G: FccGraph, header_lines=()) -> None:
-    Path(path).write_text(render_adjacency_file(G, header_lines))
 
 
 def read_adjacency_file(path) -> tuple[tuple[int, ...], ...]:

@@ -1,10 +1,15 @@
-"""Function-dependent conflict graphs and code extraction.
+"""Function-dependent conflict graphs, code extraction, verification and decoding.
 
 Vertices are all (message, parity) concatenations, indexed by canonical rank.
 Two vertices conflict (are adjacent) when they cannot coexist in one code:
 either they share the message part, or their function values differ while the
 concatenated words sit closer than the required distance 2t+1.  An
 independent set with one vertex per message is exactly an encoder table.
+
+For linear f adjacency depends only on the difference of two vertices, so the
+graph is a Cayley graph on F_q^(k+r): row i is i + S for the connection set S
+read off row 0.  Verification and decoding use the same translation structure
+on the message space, searching Hamming balls instead of all messages.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CodeNotFoundError, DecodingFailureError
-from .fields import VectorIndex, hamming_distance
+from .fields import Difference, VectorIndex, differences, hamming_distance, translate
 from .functions import FunctionSpec, coset_decomposition
 from .mis import DEFAULT_NODE_BUDGET, MisResult, max_independent_set
 
@@ -93,6 +98,50 @@ class FccEncoder:
         return tuple(u) + self.parity[rank]
 
 
+def _connection_set(f: FunctionSpec, t: int, r: int) -> list[Difference]:
+    """Differences z with vertex 0 adjacent to vertex z: a non-zero parity
+    part alone, or a message outside f's zero class with wt(z) < 2t+1."""
+    p_count = f.q**r
+    cls = coset_decomposition(f).class_of
+    return differences(f.q, r, 1, r) + [
+        z
+        for z in differences(f.q, f.k + r, 1, 2 * t)
+        if cls[z[0] // p_count] != cls[0]
+    ]
+
+
+def _cayley_rows(q: int, n_vertices: int, diffs: list[Difference]) -> list[int]:
+    """Bit-packed rows of the graph on ranks 0..n_vertices-1 whose row i is
+    the set i + z over the differences z in ``diffs``."""
+    # Setting characters of a '0'/'1' string and parsing it once costs about
+    # as much as OR-ing bits into an int on sparse rows and less on dense ones.
+    rows = []
+    top, one = n_vertices - 1, ord("1")
+    zeros = b"0" * n_vertices
+    for i in range(n_vertices):
+        digits = bytearray(zeros)
+        for j in translate(q, i, diffs):
+            digits[top - j] = one
+        rows.append(int(digits, 2))
+    return rows
+
+
+def connection_row(f: FunctionSpec, t: int, r: int) -> list[int]:
+    """Row 0 of the conflict graph's adjacency matrix, without building it.
+
+    Entry for vertex (u, p): 1 when u == 0 and p != 0, or when f(u) != f(0)
+    and weight(u) + weight(p) < 2t+1.
+    """
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    row = [0] * f.q ** (f.k + r)
+    for z, _, _ in _connection_set(f, t, r):
+        row[z] = 1
+    return row
+
+
 def build_graph(
     f: FunctionSpec, t: int, r: int, limit: int = GRAPH_VERTEX_LIMIT
 ) -> FccGraph:
@@ -110,27 +159,14 @@ def build_graph(
     n_vertices = q ** (k + r)
     if n_vertices > limit:
         raise ValueError(f"graph would have {n_vertices} vertices; limit is {limit}")
+    if f.mode == "linear":
+        rows = _cayley_rows(q, n_vertices, _connection_set(f, t, r))
+        return FccGraph(q=q, k=k, r=r, t=t, rows=tuple(rows))
+
+    # Table functions are not translation invariant: test every pair.
     cls = coset_decomposition(f).class_of
     need = 2 * t + 1
     p_count = q**r
-
-    if q == 2 and f.mode == "linear":
-        # Adjacency depends only on the XOR of the two vertex ranks.
-        kernel = cls[0]
-        edge_diffs = []
-        for z in range(1, n_vertices):
-            if z >> r == 0:
-                edge_diffs.append(z)
-            elif cls[z >> r] != kernel and z.bit_count() < need:
-                edge_diffs.append(z)
-        rows = []
-        for i in range(n_vertices):
-            acc = 0
-            for z in edge_diffs:
-                acc |= 1 << (i ^ z)
-            rows.append(acc)
-        return FccGraph(q=q, k=k, r=r, t=t, rows=tuple(rows))
-
     msg_index = VectorIndex(q, k)
     par_index = VectorIndex(q, r)
     u_vecs = [msg_index.vector(i) for i in range(q**k)]
@@ -225,21 +261,28 @@ def find_fcc_violation(
     E: FccEncoder,
 ) -> tuple[tuple[int, ...], tuple[int, ...], int] | None:
     """First message pair breaking the distance property, as (u_i, u_j,
-    codeword distance), or None when the encoder is a valid code."""
+    codeword distance), or None when the encoder is a valid code.
+
+    Pairs are taken in lexicographic rank order.  Messages more than 2t
+    apart meet the distance on the message part alone, so only the
+    radius-2t ball around each message is searched.
+    """
     q, k = E.f.q, E.f.k
     cls = coset_decomposition(E.f).class_of
-    msg_index = VectorIndex(q, k)
-    vecs = [msg_index.vector(i) for i in range(q**k)]
     need = 2 * E.t + 1
+    near = differences(q, k, 1, 2 * E.t)
     for i in range(q**k):
-        for j in range(i + 1, q**k):
-            if cls[i] == cls[j]:
-                continue
-            d = hamming_distance(vecs[i], vecs[j]) + hamming_distance(
-                E.parity[i], E.parity[j]
-            )
-            if d < need:
-                return (vecs[i], vecs[j], d)
+        hits = [
+            (j, d)
+            for (_, support, _), j in zip(near, translate(q, i, near))
+            if j > i
+            and cls[j] != cls[i]
+            and (d := len(support) + hamming_distance(E.parity[i], E.parity[j])) < need
+        ]
+        if hits:
+            j, d = min(hits)
+            msg_index = VectorIndex(q, k)
+            return (msg_index.vector(i), msg_index.vector(j), d)
     return None
 
 
@@ -251,8 +294,10 @@ def verify_fcc(E: FccEncoder) -> bool:
 def decode(E: FccEncoder, y: tuple[int, ...]):
     """Function value of the nearest codeword to y, if one lies within radius t.
 
-    Raises DecodingFailureError when every codeword is farther than t; the
-    decoder never guesses.
+    Ties go to the lowest message rank.  A codeword within t of y has its
+    message within t of y's message part, so only that radius-t ball is
+    searched: O(V(k, t)) per word.  Raises DecodingFailureError when every
+    codeword is farther than t; the decoder never guesses.
     """
     q, k, r = E.f.q, E.f.k, E.r
     if len(y) != k + r:
@@ -261,16 +306,12 @@ def decode(E: FccEncoder, y: tuple[int, ...]):
         raise ValueError(f"received word {y} has symbols outside F_{q}")
     head, tail = tuple(y[:k]), tuple(y[k:])
     msg_index = VectorIndex(q, k)
-    best_d = None
-    best_rank = -1
-    for rank in range(q**k):
-        d = hamming_distance(msg_index.vector(rank), head) + hamming_distance(
-            E.parity[rank], tail
-        )
-        if best_d is None or d < best_d:
-            best_d = d
-            best_rank = rank
-    if best_d is None or best_d > E.t:
+    ball = differences(q, k, 0, E.t)
+    best_d, best_rank = min(
+        (len(support) + hamming_distance(E.parity[u], tail), u)
+        for (_, support, _), u in zip(ball, translate(q, msg_index.rank(head), ball))
+    )
+    if best_d > E.t:
         raise DecodingFailureError(
             f"no codeword within distance {E.t} of the received word"
         )
@@ -293,16 +334,6 @@ class BlockCirculantReport:
         return self.holds
 
 
-def _digit_increment_perm(q: int, n: int, position: int) -> list[int]:
-    """Rank permutation that adds 1 (mod q) to one digit of every vector."""
-    place = q ** (n - 1 - position)
-    perm = []
-    for x in range(q**n):
-        digit = (x // place) % q
-        perm.append(x + place if digit < q - 1 else x - (q - 1) * place)
-    return perm
-
-
 def verify_block_circulant(G: FccGraph, f: FunctionSpec) -> BlockCirculantReport:
     """Check that the adjacency matrix is circulant in q-by-q blocks at every
     nesting level, i.e. invariant under jointly incrementing any one digit of
@@ -314,7 +345,9 @@ def verify_block_circulant(G: FccGraph, f: FunctionSpec) -> BlockCirculantReport
     n = G.k + G.r
     n_vertices = G.n_vertices
     for position in range(n):
-        perm = _digit_increment_perm(q, n, position)
+        place = q ** (n - 1 - position)
+        unit = ((place, (place,), (1,)),)
+        perm = [j for x in range(n_vertices) for j in translate(q, x, unit)]
         for x in range(n_vertices):
             row = G.rows[x]
             shifted = 0

@@ -1,8 +1,9 @@
 """Eigenvalues of conflict graphs for linear functions, from one adjacency row.
 
-For linear functions the adjacency matrix is invariant under jointly
-translating row and column indices, so the multidimensional DFT over (Z_q)^n
-diagonalizes it and the whole spectrum is the transform of row 0.  The q = 2
+For linear functions the conflict graph is a Cayley graph on F_q^n: its
+adjacency matrix is invariant under jointly translating row and column
+indices, so the multidimensional DFT over (Z_q)^n diagonalizes it and the
+whole spectrum is the transform of row 0, ``graph.connection_row``.  The q = 2
 case is a Walsh-Hadamard transform carried out in exact integers; q > 2 uses
 complex floats with a fixed tolerance on the imaginary residue.
 """
@@ -13,9 +14,8 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import hamming_weight, VectorIndex
-from .functions import FunctionSpec, _require_linear, coset_decomposition
-from .graph import FccGraph
+from .functions import FunctionSpec, _require_linear
+from .graph import FccGraph, connection_row
 
 IMAG_TOLERANCE = 1e-9
 
@@ -38,38 +38,6 @@ class Spectrum:
     @property
     def lambda_min(self):
         return min(self.eigenvalues)
-
-
-def connection_row(f: FunctionSpec, t: int, r: int) -> list[int]:
-    """Row 0 of the conflict graph's adjacency matrix, without building it.
-
-    Entry for vertex (u, p): 1 when u == 0 and p != 0, or when f(u) != f(0)
-    and weight(u) + weight(p) < 2t+1.
-    """
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    q, k = f.q, f.k
-    cls = coset_decomposition(f).class_of
-    zero_class = cls[0]
-    need = 2 * t + 1
-    msg_index = VectorIndex(q, k)
-    par_index = VectorIndex(q, r)
-    u_weight = [hamming_weight(msg_index.vector(i)) for i in range(q**k)]
-    p_weight = [hamming_weight(par_index.vector(i)) for i in range(q**r)]
-    p_count = q**r
-    row = []
-    for u_rank in range(q**k):
-        if cls[u_rank] == zero_class:
-            if u_rank == 0:
-                row.extend(0 if p == 0 else 1 for p in range(p_count))
-            else:
-                row.extend([0] * p_count)
-        else:
-            wu = u_weight[u_rank]
-            row.extend(1 if wu + wp < need else 0 for wp in p_weight)
-    return row
 
 
 def _walsh_hadamard(values: list[int]) -> list[int]:

@@ -87,6 +87,44 @@ def slow_adjacency(f, t, r):
     return adj
 
 
+def slow_code_graph(q, n, d):
+    """Bit-packed rows of the graph on F_q^n joining distinct words closer
+    than d, straight from the definition."""
+    words = all_words(q, n)
+    return rows_from_lists(
+        [[int(u != v and slow_distance(u, v) < d) for v in words] for u in words]
+    )
+
+
+def rand_parity(rng, q, k, r):
+    """Random parity table: one length-r word per message, no code property."""
+    return tuple(tuple(rng.randrange(q) for _ in range(r)) for _ in range(q**k))
+
+
+def brute_decode(E, y):
+    """Value of the nearest codeword to y, ties going to the lowest message
+    rank, or None when every codeword is farther than t."""
+    words = all_words(E.q, E.k)
+    d, rank = min(
+        (slow_distance(u + E.parity[i], y), i) for i, u in enumerate(words)
+    )
+    return E.f.eval(words[rank]) if d <= E.t else None
+
+
+def brute_violation(E):
+    """First message pair in lexicographic order whose values differ and
+    whose codewords lie closer than 2t+1, as (u, v, distance), or None."""
+    words = all_words(E.q, E.k)
+    vals = [E.f.eval(u) for u in words]
+    for i, u in enumerate(words):
+        for j in range(i + 1, len(words)):
+            if vals[i] != vals[j]:
+                d = slow_distance(u + E.parity[i], words[j] + E.parity[j])
+                if d < 2 * E.t + 1:
+                    return (u, words[j], d)
+    return None
+
+
 def rows_from_lists(adj):
     """Bit-packed adjacency rows from a dense 0/1 matrix."""
     return [sum(1 << j for j, e in enumerate(row) if e) for row in adj]

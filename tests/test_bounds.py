@@ -26,7 +26,10 @@ from fcclib import (
     two_t_bound,
     zll_bound,
 )
-from helpers import rand_linear, slow_distance
+from fcclib.fields import differences
+from fcclib.graph import _cayley_rows
+from fcclib.mis import max_independent_set
+from helpers import rand_linear, slow_code_graph, slow_distance
 
 ENTRY_NAMES = (
     "distance_2t",
@@ -54,6 +57,20 @@ def test_exact_witnesses_meet_the_distance():
         for i in range(len(words)):
             for j in range(i + 1, len(words)):
                 assert slow_distance(words[i], words[j]) >= d
+
+
+def test_exact_code_graph_matches_naive_distance_graph():
+    for q, n, d, known in [(3, 4, 3, 9), (5, 3, 3, 5)]:
+        naive = slow_code_graph(q, n, d)
+        # the conflict graph a_q_exact searches: Cayley rows for 1 <= wt < d
+        assert _cayley_rows(q, q**n, differences(q, n, 1, d - 1)) == naive
+        est = a_q_exact(q, n, d)
+        assert est.value == known == max_independent_set(naive).size
+        assert all(
+            slow_distance(a, b) >= d
+            for i, a in enumerate(est.witness)
+            for b in est.witness[i + 1:]
+        )
 
 
 def test_exact_degenerate_parameters():
@@ -312,6 +329,15 @@ def test_report_structure_ternary_and_table(ex_q3_k3, or_q2_k2):
     assert by_name["eigenvalue"].note == "linear functions only"
     assert table.optimal is None
     assert by_name["pairwise_averaging"].integer is not None  # DRM route still works
+
+
+def test_linear_averaging_integer_is_clamped_at_zero():
+    # first 6 of 10 bits at t=1: the closed form is negative
+    proj6 = linear_function(2, [[int(j == i) for j in range(10)] for i in range(6)])
+    report = bound_report(proj6, 1, node_budget=2_000)
+    entry = next(e for e in report.entries if e.name == "linear_averaging")
+    assert entry.rational == Fraction(-129, 32)
+    assert entry.integer == 0
 
 
 def test_report_budget_notes(ex_q2_k4):

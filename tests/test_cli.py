@@ -246,6 +246,15 @@ def test_construct_verify_decode_chain(capsys, tmp_path, data_dir, ex_q2_k4):
     assert code == EX_INPUT
 
 
+def test_decode_rejects_q_above_10(capsys, tmp_path):
+    func = tmp_path / "q11.func"
+    func.write_text("11 2 1 linear\n1 2\n")
+    enc = tmp_path / "q11.enc"
+    enc.write_text("11 2 2 1\n" + "".join(f"{i} 00\n" for i in range(121)))
+    code, _, err = run(capsys, "decode", str(enc), "0000", "--func", str(func))
+    assert code == EX_INPUT and "q <= 10" in err
+
+
 def test_verify_detects_mutation(capsys, tmp_path, data_dir, ex_q2_k4):
     func = str(data_dir / "ex_q2_k4.func")
     enc_path = tmp_path / "encoder.txt"

@@ -1,4 +1,4 @@
-"""Coset-wise encoders: representative selection, reduction, decode parity."""
+"""Coset-wise encoders: representative selection, reduction, decoding."""
 
 import random
 
@@ -12,7 +12,6 @@ from fcclib import (
     build_cosetwise_encoder,
     build_fdm,
     coset_decomposition,
-    cosetwise_decode,
     cosetwise_requirements,
     decode,
     linear_function,
@@ -23,7 +22,15 @@ from fcclib import (
 )
 from fcclib.formats import read_parity_file
 from fcclib.functions import classify
-from helpers import all_words, clip, rand_linear, slow_distance, slow_weight, words_at_distance
+from helpers import (
+    all_words,
+    brute_decode,
+    clip,
+    rand_linear,
+    slow_distance,
+    slow_weight,
+    words_at_distance,
+)
 
 
 def _unit_basis_cases(rng, count):
@@ -185,40 +192,35 @@ def test_encoder_input_validation(ex_q2_k4):
         build_cosetwise_encoder(ex_q2_k4, 1, ParityCode(q=2, r=1, words=((0,),) * 3))
 
 
-def test_cosetwise_decode_agrees_with_generic_decoder(ex_q2_k4, shipped_dir):
+def _decoded(E, y):
+    try:
+        return decode(E, y)
+    except DecodingFailureError:
+        return None
+
+
+def test_decode_on_cosetwise_encoder_matches_nearest_codeword(ex_q2_k4, shipped_dir):
     code = read_parity_file(shipped_dir / "parity_5_4_3_q2.txt", q=2)
     E = build_cosetwise_encoder(ex_q2_k4, 1, code)
     for u in all_words(2, 4):
         word = E.encode(u)
-        assert cosetwise_decode(E, word) == ex_q2_k4.eval(u)
+        assert decode(E, word) == ex_q2_k4.eval(u)
         for dist in (1, 2):
             for y in words_at_distance(word, 2, dist):
-                try:
-                    got = cosetwise_decode(E, y)
-                except DecodingFailureError:
-                    with pytest.raises(DecodingFailureError):
-                        decode(E, y)
-                else:
-                    assert got == decode(E, y)
+                assert _decoded(E, y) == brute_decode(E, y)
 
 
-def test_cosetwise_decode_falls_back_for_message_dependent_parity():
+def test_decode_with_message_dependent_parity_matches_nearest_codeword():
     f = linear_function(2, [(1, 1)])
     E = FccEncoder(
         f=f, t=1, r=3,
         parity=((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)),
     )
     assert verify_fcc(E)
-    # parity differs inside the kernel class, so the coset sweep cannot apply
+    # parity differs inside the kernel class: not a coset-wise encoder
     assert E.parity[0] != E.parity[3] and f.eval((0, 0)) == f.eval((1, 1))
     for y in all_words(2, 5):
-        try:
-            got = cosetwise_decode(E, y)
-        except DecodingFailureError:
-            with pytest.raises(DecodingFailureError):
-                decode(E, y)
-        else:
-            assert got == decode(E, y)
+        assert _decoded(E, y) == brute_decode(E, y)
 
 
 def test_constant_function_needs_no_parity(const_q2_k3):
@@ -227,4 +229,4 @@ def test_constant_function_needs_no_parity(const_q2_k3):
     assert verify_fcc(E)
     for u in all_words(2, 3):
         assert E.encode(u) == u
-        assert cosetwise_decode(E, u) == ()
+        assert decode(E, u) == ()

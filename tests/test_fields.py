@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from fcclib import PrimeField, VectorIndex, hamming_ball_size, hamming_distance, hamming_weight
 from fcclib.fields import (
     ENUMERATION_LIMIT,
+    differences,
     enumerate_vectors,
     is_prime,
     matrix_rank,
+    translate,
     vec_add,
     vec_scale,
     vec_sub,
@@ -175,3 +177,17 @@ def test_matrix_rank_edge_cases():
     assert matrix_rank(3, [(1, 0), (0, 1)]) == 2
     # duplicating a row never raises the rank
     assert matrix_rank(2, [(1, 1, 0), (1, 1, 0)]) == 1
+
+
+def test_differences_and_translate_match_symbolwise_addition():
+    for q, n in [(2, 4), (3, 3), (5, 2)]:
+        words = all_words(q, n)
+        for lo, hi in [(0, n), (1, 2), (2, 2), (0, 0)]:
+            diffs = differences(q, n, lo, hi)
+            zs = [words[z] for z, _, _ in diffs]
+            assert sorted(zs) == [w for w in words if lo <= slow_weight(w) <= hi]
+            for (_, support, symbols), z in zip(diffs, zs):
+                assert len(support) == len(symbols) == slow_weight(z)
+            for i, u in enumerate(words):
+                sums = [tuple((a + b) % q for a, b in zip(u, z)) for z in zs]
+                assert translate(q, i, diffs) == [words.index(s) for s in sums]

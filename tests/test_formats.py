@@ -17,6 +17,7 @@ from fcclib import (
 )
 from fcclib.formats import (
     label_text,
+    parse_digit_word,
     parse_inline_rows,
     read_adjacency_file,
     read_aq_table,
@@ -24,13 +25,13 @@ from fcclib.formats import (
     read_function_file,
     read_matrix_csv,
     read_parity_file,
+    render_adjacency_file,
     render_compare_csv,
-    write_adjacency_file,
-    write_encoder_file,
-    write_function_file,
-    write_matrix_csv,
-    write_parity_file,
-    write_spectrum_csv,
+    render_encoder_file,
+    render_function_file,
+    render_matrix_csv,
+    render_parity_file,
+    render_spectrum_csv,
 )
 from helpers import rand_linear, rand_table
 
@@ -63,7 +64,7 @@ def test_function_file_round_trips(tmp_path, ex_q2_k4, or_q2_k3, const_q2_k3):
             cases.append(rand_table(rng, q, k, rng.randrange(1, q**k + 1)))
     for i, f in enumerate(cases):
         path = tmp_path / f"f{i}.func"
-        write_function_file(path, f, header_lines=["round-trip case"])
+        path.write_text(render_function_file(f, header_lines=["round-trip case"]))
         back = read_function_file(path)
         assert back.q == f.q and back.k == f.k and back.mode == f.mode
         if f.mode == "linear":
@@ -96,7 +97,7 @@ def test_matrix_csv_round_trip(tmp_path, ex_q2_k4):
     for t in (1, 2):
         D = build_drm(ex_q2_k4, t)
         path = tmp_path / f"drm_t{t}.csv"
-        write_matrix_csv(path, D, header_lines=["labels are informational"])
+        path.write_text(render_matrix_csv(D, header_lines=["labels are informational"]))
         back = read_matrix_csv(path)
         assert back.to_lists() == D.to_lists()
         assert back.labels == tuple(range(D.order))  # labels are not persisted
@@ -109,7 +110,7 @@ def test_matrix_csv_round_trip(tmp_path, ex_q2_k4):
 def test_parity_file_round_trip(tmp_path):
     code = ParityCode(q=3, r=2, words=((0, 0), (1, 2), (2, 1)))
     path = tmp_path / "parity.txt"
-    write_parity_file(path, code, header_lines=["three words"])
+    path.write_text(render_parity_file(code, header_lines=["three words"]))
     back = read_parity_file(path, q=3)
     assert back == code
     assert back.r == 2  # r inferred from the first word
@@ -135,14 +136,14 @@ def test_encoder_file_round_trip(tmp_path, ex_q2_k4, const_q2_k3):
         parity=tuple((i % 2, (i >> 1) % 2, (i >> 2) % 2) for i in range(16)),
     )
     path = tmp_path / "encoder.txt"
-    write_encoder_file(path, E, header_lines=["full table"])
+    path.write_text(render_encoder_file(E, header_lines=["full table"]))
     back = read_encoder_file(path, ex_q2_k4)
     assert back == E
 
     # r = 0 writes '-' placeholders and reads back empty words
     trivial = FccEncoder(f=const_q2_k3, t=1, r=0, parity=((),) * 8)
     path0 = tmp_path / "trivial.txt"
-    write_encoder_file(path0, trivial)
+    path0.write_text(render_encoder_file(trivial))
     assert " -" in path0.read_text()
     assert read_encoder_file(path0, const_q2_k3) == trivial
 
@@ -150,7 +151,7 @@ def test_encoder_file_round_trip(tmp_path, ex_q2_k4, const_q2_k3):
 def test_encoder_file_rejections(tmp_path, ex_q2_k4, ex_q3_k2):
     E = FccEncoder(f=ex_q3_k2, t=1, r=1, parity=tuple((i % 3,) for i in range(9)))
     path = tmp_path / "enc.txt"
-    write_encoder_file(path, E)
+    path.write_text(render_encoder_file(E))
     with pytest.raises(ValueError):
         read_encoder_file(path, ex_q2_k4)  # wrong function shape
 
@@ -168,6 +169,30 @@ def test_encoder_file_rejections(tmp_path, ex_q2_k4, ex_q3_k2):
         p.write_text(text)
         with pytest.raises(ValueError):
             read_encoder_file(p, ex_q3_k2)
+
+
+def test_digit_string_formats_reject_q_above_10(tmp_path):
+    f = linear_function(11, [(1, 2)])
+    # parity (7, 10) would be written as '710', which no reader can split
+    E = FccEncoder(f=f, t=1, r=2, parity=((7, 10),) * 121)
+    with pytest.raises(ValueError):
+        render_encoder_file(E)
+    enc = tmp_path / "q11.enc"
+    enc.write_text("11 2 2 1\n" + "".join(f"{i} 00\n" for i in range(121)))
+    with pytest.raises(ValueError):
+        read_encoder_file(enc, f)
+    with pytest.raises(ValueError):
+        render_parity_file(ParityCode(q=11, r=1, words=((10,), (0,))))
+    parity = tmp_path / "q11.txt"
+    parity.write_text("0\n1\n")
+    with pytest.raises(ValueError):
+        read_parity_file(parity, q=11)
+    with pytest.raises(ValueError):
+        parse_digit_word("01", 11)
+    # function files separate symbols by spaces and keep accepting q = 11
+    func = tmp_path / "q11.func"
+    func.write_text(render_function_file(f))
+    assert read_function_file(func).matrix == f.matrix
 
 
 def test_aq_table_reader(tmp_path):
@@ -226,7 +251,7 @@ def read_aq_table_from_rows(rows):
 def test_spectrum_csv(tmp_path, ex_q2_k3):
     S = spectrum_of(ex_q2_k3, 1, 1)
     path = tmp_path / "spec.csv"
-    write_spectrum_csv(path, S, header_lines=["transform order"])
+    path.write_text(render_spectrum_csv(S, header_lines=["transform order"]))
     lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
     assert lines[0] == "index_rank,eigenvalue"
     assert len(lines) == 1 + S.n_vertices
@@ -237,7 +262,7 @@ def test_spectrum_csv(tmp_path, ex_q2_k3):
 def test_adjacency_round_trip(tmp_path, ex_q3_k2):
     G = build_graph(ex_q3_k2, 1, 1)
     path = tmp_path / "adj.txt"
-    write_adjacency_file(path, G, header_lines=["dense rows"])
+    path.write_text(render_adjacency_file(G, header_lines=["dense rows"]))
     dense = read_adjacency_file(path)
     assert len(dense) == G.n_vertices
     for i, row in enumerate(dense):

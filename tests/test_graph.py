@@ -24,7 +24,10 @@ from fcclib.graph import EXACT_ALPHA_LIMIT
 from fcclib.formats import read_adjacency_file
 from helpers import (
     all_words,
+    brute_decode,
+    brute_violation,
     rand_linear,
+    rand_parity,
     rand_table,
     rows_from_lists,
     slow_adjacency,
@@ -54,7 +57,7 @@ def test_ternary_golden_adjacency(ex_q3_k2, golden_dir):
 def test_adjacency_matches_definition_oracle():
     rng = random.Random(20260818)
     for _ in range(30):
-        q = rng.choice([2, 3])
+        q = rng.choice([2, 3, 5])
         k = rng.randrange(1, 4)
         r = rng.randrange(0, 3)
         if q ** (k + r) > 256:
@@ -211,6 +214,52 @@ def test_decode_refuses_uncorrectable_words(ex_q2_k3):
     for y in far:
         with pytest.raises(DecodingFailureError):
             decode(E, y)
+
+
+# (q, k, r, t): every field size, r = 0, and t >= k among them
+ORACLE_SHAPES = [
+    (2, 3, 0, 1), (2, 3, 2, 3), (2, 4, 3, 1), (2, 2, 4, 2),
+    (3, 2, 0, 2), (3, 2, 2, 1), (3, 3, 1, 1), (3, 1, 2, 1),
+    (5, 2, 0, 1), (5, 2, 1, 2), (5, 1, 2, 1), (5, 3, 1, 3),
+]
+
+
+def _oracle_encoders(seed):
+    """Random (mostly invalid) parity tables over linear and table functions."""
+    rng = random.Random(seed)
+    for q, k, r, t in ORACLE_SHAPES:
+        for linear in (True, False):
+            if linear:
+                f = rand_linear(rng, q, k, rng.randrange(0, k + 1))
+            else:
+                f = rand_table(rng, q, k, rng.randrange(1, q**k + 1))
+            yield rng, FccEncoder(f=f, t=t, r=r, parity=rand_parity(rng, q, k, r))
+
+
+def test_decode_matches_nearest_codeword_oracle():
+    outcomes = set()
+    for rng, E in _oracle_encoders(31337):
+        words = all_words(E.q, E.k + E.r)
+        if len(words) > 1000:
+            words = rng.sample(words, 300)
+        for y in words:
+            want = brute_decode(E, y)
+            if want is None:
+                with pytest.raises(DecodingFailureError):
+                    decode(E, y)
+            else:
+                assert decode(E, y) == want
+            outcomes.add(want is None)
+    assert outcomes == {True, False}
+
+
+def test_violation_matches_first_lexicographic_pair():
+    found = set()
+    for _, E in _oracle_encoders(2718):
+        want = brute_violation(E)
+        assert find_fcc_violation(E) == want
+        found.add(want is None)
+    assert found == {True, False}
 
 
 def test_decode_input_validation(ex_q2_k3):
