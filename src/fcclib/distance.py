@@ -4,8 +4,10 @@ A required-distance matrix D over indices 0..M-1 demands d_H(p_i, p_j) >=
 D[i][j] for parity words p_i, p_j.  Two constructions are provided: the full
 pairwise matrix over all q^k messages (entry [2t+1 - d_H]^+ wherever the
 function values differ) and its image-level reduction built from minimum
-cross-class distances.  N_q(D), the shortest word length admitting a code that
-meets D, is computed by exact depth-first search at desk scale.
+cross-class distances; each row of the former is read off the radius-2t
+Hamming ball around its message, for any f.  N_q(D), the shortest word length
+admitting a code that meets D, is computed by exact depth-first search at desk
+scale.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 from time import monotonic
 
 from .errors import BudgetExceededError
-from .fields import FieldVec, VectorIndex, hamming_distance
+from .fields import FieldVec, VectorIndex, differences, hamming_distance, translate
 from .functions import FunctionSpec, coset_decomposition, function_distance
 
 PAIRWISE_MATRIX_LIMIT = 4096
@@ -44,10 +46,13 @@ class DistanceMatrix:
                 raise ValueError(f"row {i} has length {len(row)}, expected {m}")
             if row[i] != 0:
                 raise ValueError(f"diagonal entry ({i},{i}) must be 0")
-        for i in range(m):
-            for j in range(i + 1, m):
-                if self.rows[i][j] != self.rows[j][i]:
-                    raise ValueError(f"entries ({i},{j}) and ({j},{i}) differ")
+        # Columns are walked lazily, never as a transposed copy.  A difference
+        # below the diagonal shows in an earlier row, so here j > i.
+        for i, column in enumerate(zip(*self.rows)):
+            row = self.rows[i]
+            if row != bytes(column):
+                j = next(j for j, (a, b) in enumerate(zip(row, column)) if a != b)
+                raise ValueError(f"entries ({i},{j}) and ({j},{i}) differ")
         if self.labels and len(self.labels) != m:
             raise ValueError("labels must match the matrix order")
 
@@ -97,36 +102,22 @@ def build_drm(f: FunctionSpec, t: int) -> DistanceMatrix:
         raise ValueError(
             f"q^k = {size} exceeds the pairwise-matrix limit {PAIRWISE_MATRIX_LIMIT}"
         )
-    dec = coset_decomposition(f)
-    cls = dec.class_of
+    cls = coset_decomposition(f).class_of
     need = 2 * t + 1
-    rows = [bytearray(size) for _ in range(size)]
-    if f.q == 2:
-        for i in range(size):
-            row_i = rows[i]
-            cls_i = cls[i]
-            for j in range(i + 1, size):
-                if cls[j] == cls_i:
-                    continue
-                gap = need - (i ^ j).bit_count()
-                if gap > 0:
-                    row_i[j] = gap
-                    rows[j][i] = gap
-    else:
-        vectors = list(f.index.all_vectors())
-        for i in range(size):
-            row_i = rows[i]
-            cls_i = cls[i]
-            v_i = vectors[i]
-            for j in range(i + 1, size):
-                if cls[j] == cls_i:
-                    continue
-                gap = need - hamming_distance(v_i, vectors[j])
-                if gap > 0:
-                    row_i[j] = gap
-                    rows[j][i] = gap
+    # Only messages within distance 2t of u_i can need a gap: row i is filled
+    # from the ball i + z, wt(z) <= 2t, and frozen before the next is built.
+    ball = differences(f.q, f.k, 1, 2 * t)
+    gaps = [need - len(support) for _, support, _ in ball]
+    rows = []
+    for i in range(size):
+        row = bytearray(size)
+        cls_i = cls[i]
+        for j, gap in zip(translate(f.q, i, ball), gaps):
+            if cls[j] != cls_i:
+                row[j] = gap
+        rows.append(bytes(row))
     labels = tuple(f.index.all_vectors())
-    return DistanceMatrix(rows=tuple(bytes(r) for r in rows), labels=labels)
+    return DistanceMatrix(rows=tuple(rows), labels=labels)
 
 
 def build_fdm(f: FunctionSpec, t: int) -> DistanceMatrix:

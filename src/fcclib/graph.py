@@ -8,8 +8,9 @@ independent set with one vertex per message is exactly an encoder table.
 
 For linear f adjacency depends only on the difference of two vertices, so the
 graph is a Cayley graph on F_q^(k+r): row i is i + S for the connection set S
-read off row 0.  Verification and decoding use the same translation structure
-on the message space, searching Hamming balls instead of all messages.
+read off row 0; for table functions row i is read off the radius-2t ball
+around i, filtered by function class.  Verification and decoding use the same
+translation structure on the message space, searching Hamming balls.
 """
 
 from __future__ import annotations
@@ -17,7 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CodeNotFoundError, DecodingFailureError
-from .fields import Difference, VectorIndex, differences, hamming_distance, translate
+from .fields import (
+    ENUMERATION_LIMIT,
+    Difference,
+    VectorIndex,
+    differences,
+    hamming_distance,
+    translate,
+)
 from .functions import FunctionSpec, coset_decomposition
 from .mis import DEFAULT_NODE_BUDGET, MisResult, max_independent_set
 
@@ -136,7 +144,10 @@ def connection_row(f: FunctionSpec, t: int, r: int) -> list[int]:
         raise ValueError("t must be >= 1")
     if r < 0:
         raise ValueError("r must be >= 0")
-    row = [0] * f.q ** (f.k + r)
+    size = f.q ** (f.k + r)
+    if size > ENUMERATION_LIMIT:
+        raise ValueError(f"row would have {size} entries; limit is {ENUMERATION_LIMIT}")
+    row = [0] * size
     for z, _, _ in _connection_set(f, t, r):
         row[z] = 1
     return row
@@ -163,37 +174,18 @@ def build_graph(
         rows = _cayley_rows(q, n_vertices, _connection_set(f, t, r))
         return FccGraph(q=q, k=k, r=r, t=t, rows=tuple(rows))
 
-    # Table functions are not translation invariant: test every pair.
-    cls = coset_decomposition(f).class_of
-    need = 2 * t + 1
+    # Table functions are not translation invariant: row i is the radius-2t
+    # ball around i less the vertices whose message shares i's class, plus
+    # the other vertices of i's own message.  One class mask at a time.
     p_count = q**r
-    msg_index = VectorIndex(q, k)
-    par_index = VectorIndex(q, r)
-    u_vecs = [msg_index.vector(i) for i in range(q**k)]
-    p_vecs = [par_index.vector(i) for i in range(p_count)]
-    # Small distance tables keep the pair loop to integer lookups.
-    du = [
-        [hamming_distance(a, b) for b in u_vecs] for a in u_vecs
-    ] if q**k <= 1024 else None
-    dp = [[hamming_distance(a, b) for b in p_vecs] for a in p_vecs]
-    rows = [0] * n_vertices
-    for i in range(n_vertices):
-        ui, pi = divmod(i, p_count)
-        for j in range(i + 1, n_vertices):
-            uj, pj = divmod(j, p_count)
-            if ui == uj:
-                edge = True
-            elif cls[ui] != cls[uj]:
-                d_msg = (
-                    du[ui][uj] if du is not None
-                    else hamming_distance(u_vecs[ui], u_vecs[uj])
-                )
-                edge = d_msg + dp[pi][pj] < need
-            else:
-                edge = False
-            if edge:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
+    block = (1 << p_count) - 1
+    rows = _cayley_rows(q, n_vertices, differences(q, k + r, 1, 2 * t))
+    for members in coset_decomposition(f).classes:
+        outside = ~sum(block << (u * p_count) for u in members)
+        for u in members:
+            own = block << (u * p_count)
+            for i in range(u * p_count, (u + 1) * p_count):
+                rows[i] = (rows[i] & outside) | (own ^ (1 << i))
     return FccGraph(q=q, k=k, r=r, t=t, rows=tuple(rows))
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import fcclib.graph
 from fcclib import __version__, build_drm, build_fdm, n_q_exact
 from fcclib.cli import EX_BUDGET, EX_INPUT, EX_NEGATIVE, EX_OK, main
 from fcclib.formats import read_encoder_file, read_matrix_csv
@@ -187,7 +188,7 @@ def test_nq_from_function(capsys, data_dir, ex_q2_k4):
     assert payload["n"] == n_q_exact(build_drm(ex_q2_k4, 1), 2).n
 
 
-def test_spectrum_routes(capsys, data_dir):
+def test_spectrum_routes(capsys, monkeypatch, data_dir):
     code, out, _ = run(
         capsys, "spectrum", "--func", str(data_dir / "spectral_q2_k3.func"), "--t", "1",
         "--r", "1",
@@ -208,6 +209,23 @@ def test_spectrum_routes(capsys, data_dir):
         "--r", "1",
     )
     assert code == EX_INPUT  # table functions have no transform spectrum
+
+    code, out, _ = run(
+        capsys, "spectrum", "--func", str(data_dir / "ex_q3_k3.func"), "--t", "1",
+        "--r", "1",
+    )
+    assert code == EX_OK
+    lines = [l for l in out.splitlines() if not l.startswith("#")][1:]
+    assert len(lines) == 81
+    assert sum(int(l.split(",")[1]) for l in lines) == 0  # printed as integers
+
+    monkeypatch.setattr(fcclib.graph, "ENUMERATION_LIMIT", 2**4)
+    code, out, err = run(
+        capsys, "spectrum", "--func", str(data_dir / "spectral_q2_k3.func"), "--t", "1",
+        "--r", "2",
+    )
+    assert code == EX_INPUT and out == ""
+    assert "32 entries; limit is 16" in err
 
 
 def test_construct_verify_decode_chain(capsys, tmp_path, data_dir, ex_q2_k4):

@@ -61,6 +61,16 @@ def test_matrix_validation():
         matrix_from_lists([[0, 300], [300, 0]])  # entry out of byte range
     with pytest.raises(ValueError):
         DistanceMatrix(rows=(bytes([0, 1]), bytes([1, 0])), labels=("a",))
+    # two asymmetric pairs: the message names the first in row-major order
+    entries = [[0] * 4 for _ in range(4)]
+    entries[1][3] = 2
+    entries[2][0] = 1
+    with pytest.raises(ValueError, match=r"^entries \(0,2\) and \(2,0\) differ$"):
+        matrix_from_lists(entries)
+    entries[2][0] = 0
+    entries[1][2] = 1
+    with pytest.raises(ValueError, match=r"^entries \(1,2\) and \(2,1\) differ$"):
+        matrix_from_lists(entries)
 
 
 def test_matrix_accessors():
@@ -91,8 +101,8 @@ def test_fdm_matches_goldens(ex_q2_k4, golden_dir):
 def test_drm_matches_definition_oracle():
     rng = random.Random(20260818)
     for _ in range(40):
-        q = rng.choice([2, 3])
-        k = rng.randrange(1, 4)
+        q = rng.choice([2, 3, 5])
+        k = rng.randrange(1, 5)
         if rng.random() < 0.5:
             f = rand_linear(rng, q, k, rng.randrange(0, k + 1))
         else:

@@ -64,9 +64,10 @@ def test_adjacency_matches_definition_oracle():
             continue
         if rng.random() < 0.5:
             f = rand_linear(rng, q, k, rng.randrange(0, k + 1))
+            t = rng.randrange(1, 3)
         else:
             f = rand_table(rng, q, k, rng.randrange(1, q**k + 1))
-        t = rng.randrange(1, 3)
+            t = rng.randrange(1, 4)
         G = build_graph(f, t, r)
         assert list(G.rows) == rows_from_lists(slow_adjacency(f, t, r))
 

@@ -1,14 +1,18 @@
 """Exact graph spectra via transforms, and the eigenvalue redundancy bound."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import fcclib.graph
+import fcclib.spectrum
 from fcclib import (
     SpectralBoundResult,
     Spectrum,
+    bound_report,
     build_graph,
     cvetkovic_alpha_bound,
     eigenvalue_redundancy_bound,
@@ -65,13 +69,22 @@ def test_spectrum_matches_dense_eigensolver():
         assert eigenvalues_via_tensor_dft(G, f).eigenvalues == S.eigenvalues
 
 
-def test_binary_spectra_are_exact_integers(ex_q2_k3):
+def test_spectra_are_exact_integers(ex_q2_k3, ex_q3_k2):
     rng = random.Random(2)
-    for f, t, r in [(ex_q2_k3, 1, 2)] + [c for c in _rand_cases(rng, 20) if c[0].q == 2]:
-        if f.q != 2:
+    cases = [(ex_q2_k3, 1, 2), (ex_q3_k2, 1, 1)]
+    while len(cases) < 24:
+        q = rng.choice([2, 3, 5, 7])
+        k = rng.randrange(1, 4)
+        r = rng.randrange(0, 3)
+        if q ** (k + r) > 343:
             continue
+        f = rand_linear(rng, q, k, rng.randrange(0, k + 1))
+        cases.append((f, rng.randrange(1, 3), r))
+    assert {f.q for f, _, _ in cases} == {2, 3, 5, 7}
+    for f, t, r in cases:
         S = spectrum_of(f, t, r)
         assert all(isinstance(v, int) for v in S.eigenvalues)
+        assert _spectra_match(S, _numpy_eigenvalues(build_graph(f, t, r)))
 
 
 def test_spectrum_moment_and_degree_invariants():
@@ -79,12 +92,11 @@ def test_spectrum_moment_and_degree_invariants():
     for f, t, r in _rand_cases(rng, 25):
         G = build_graph(f, t, r)
         S = spectrum_of(f, t, r)
-        assert abs(sum(S.eigenvalues)) < 1e-6
-        assert abs(sum(v * v for v in S.eigenvalues) - 2 * G.edge_count()) < 1e-6
+        assert sum(S.eigenvalues) == 0
+        assert sum(v * v for v in S.eigenvalues) == 2 * G.edge_count()
         degrees = [G.degree(i) for i in range(G.n_vertices)]
-        avg = sum(degrees) / len(degrees)
-        assert S.lambda_max <= max(degrees) + 1e-9
-        assert S.lambda_max >= avg - 1e-9
+        assert S.lambda_max <= max(degrees)
+        assert S.lambda_max * len(degrees) >= sum(degrees)
 
 
 def test_table_functions_are_rejected(or_q2_k2):
@@ -104,8 +116,7 @@ def test_cvetkovic_bound_dominates_exact_alpha():
         S = spectrum_of(f, t, r)
         bound = cvetkovic_alpha_bound(S, G.n_vertices)
         assert bound >= independence_number(G).size
-        if f.q == 2:
-            assert isinstance(bound, (int, Fraction))
+        assert isinstance(bound, (int, Fraction))
 
 
 def test_cvetkovic_closed_forms():
@@ -166,3 +177,26 @@ def test_row_length_validation():
         connection_row(linear_function(2, [(1,)]), 0, 1)
     with pytest.raises(ValueError):
         connection_row(linear_function(2, [(1,)]), 1, -1)
+
+
+def test_oversized_rows_are_refused_before_allocation(monkeypatch, ex_q2_k3):
+    monkeypatch.setattr(fcclib.graph, "ENUMERATION_LIMIT", 2**12)
+    monkeypatch.setattr(fcclib.spectrum, "ENUMERATION_LIMIT", 2**12)
+    tracemalloc.start()
+    try:
+        # 2^16 entries: the list alone would take 512 KiB.
+        with pytest.raises(ValueError, match="limit is 4096"):
+            connection_row(ex_q2_k3, 1, 13)
+        with pytest.raises(ValueError, match="limit is 4096"):
+            spectrum_of(ex_q2_k3, 1, 13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    # r = 0..2 are infeasible (see the feasibility sequence above) and the
+    # row at r = 3 has 64 entries, over a limit of 32: the scan stops there.
+    monkeypatch.setattr(fcclib.graph, "ENUMERATION_LIMIT", 2**5)
+    monkeypatch.setattr(fcclib.spectrum, "ENUMERATION_LIMIT", 2**5)
+    assert eigenvalue_redundancy_bound(ex_q2_k3, 1, 8) == SpectralBoundResult(3, True)
+    entry = next(e for e in bound_report(ex_q2_k3, 1).entries if e.name == "eigenvalue")
+    assert entry.integer == 3 and entry.note.startswith("scan exhausted")
