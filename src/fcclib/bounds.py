@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from time import monotonic
 
 from .cosets import select_subspace_representatives
@@ -205,8 +206,13 @@ def systematic_ecc_bound(q: int, k: int, d: int, est: AqEstimate) -> int:
         raise ValueError("a lower bound on the code size cannot be used here")
     if est.value < 1:
         raise ValueError("code-size estimate must be positive")
+    return _least_redundancy(q, k, est.value)
+
+
+def _least_redundancy(q: int, k: int, size: int) -> int:
+    """Smallest r with size * q^r >= q^k."""
     r = 0
-    while est.value * q**r < q**k:
+    while size * q**r < q**k:
         r += 1
     return r
 
@@ -218,11 +224,7 @@ def theorem1_bound(f: FunctionSpec, t: int, alpha: int) -> int:
         raise ValueError("t must be >= 1")
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
-    q, k = f.q, f.k
-    r = 0
-    while alpha * q**r < q**k:
-        r += 1
-    return r
+    return _least_redundancy(f.q, f.k, alpha)
 
 
 def two_t_bound(f: FunctionSpec, t: int) -> int:
@@ -285,17 +287,14 @@ def optimality_check(
     msg_index = VectorIndex(q, k)
     dec = coset_decomposition(f)
 
-    def matches(reps: list[tuple[int, ...]], classes: list[int]) -> bool:
-        for i in range(len(reps)):
-            for j in range(i + 1, len(reps)):
-                gap = need - hamming_distance(reps[i], reps[j])
-                if (gap if gap > 0 else 0) != fdm[classes[i]][classes[j]]:
-                    return False
-        return True
+    def agrees(u: tuple[int, ...], a: int, v: tuple[int, ...], b: int) -> bool:
+        """u in class a and v in class b demand exactly the FDM entry (a, b)."""
+        return max(need - hamming_distance(u, v), 0) == fdm[a][b]
 
     if classify(f).unit_basis_class:
         sel = select_subspace_representatives(f)
-        if matches(list(sel.members), list(sel.class_indices)):
+        reps = zip(sel.members, sel.class_indices)
+        if all(agrees(*x, *y) for x, y in combinations(reps, 2)):
             return True
 
     # General search: one minimum-weight candidate per class, depth-first
@@ -309,19 +308,12 @@ def optimality_check(
     chosen: list[tuple[int, ...]] = []
     nodes = 0
 
-    def consistent(vec: tuple[int, ...], depth: int) -> bool:
-        ci = order[depth]
-        for prev_depth, prev in enumerate(chosen):
-            gap = need - hamming_distance(prev, vec)
-            if (gap if gap > 0 else 0) != fdm[order[prev_depth]][ci]:
-                return False
-        return True
-
     def search(depth: int) -> bool:
         nonlocal nodes
         if depth == len(order):
             return True
-        for vec in candidates[order[depth]]:
+        ci = order[depth]
+        for vec in candidates[ci]:
             nodes += 1
             if nodes > node_budget:
                 raise BudgetExceededError(
@@ -331,7 +323,7 @@ def optimality_check(
                 raise BudgetExceededError(
                     "representative search exceeded the time budget"
                 )
-            if consistent(vec, depth):
+            if all(agrees(prev, order[d], vec, ci) for d, prev in enumerate(chosen)):
                 chosen.append(vec)
                 if search(depth + 1):
                     return True
@@ -341,6 +333,23 @@ def optimality_check(
     return search(0)
 
 
+def _packing_scan(q: int, k: int, d: int, aq, margin) -> int:
+    """Smallest r such that for every m up to floor((d-1)/2),
+    ball(q,k,m) + margin(r, m) <= aq(q, r, d-2m); the m loop stops at the
+    first failure, so a custom estimator sees the calls in that order."""
+    PrimeField(q)
+    if d < 2 or k < 1:
+        raise ValueError("need d >= 2 and k >= 1")
+    if aq is None:
+        aq = lambda qq, nn, dd: a_q_auto(qq, nn, dd).value
+    ms = range((d - 1) // 2 + 1)
+    balls = [hamming_ball_size(q, k, m) for m in ms]
+    for r in range(k * d + d + 2):
+        if all(balls[m] + margin(r, m) <= aq(q, r, d - 2 * m) for m in ms):
+            return r
+    raise AssertionError("scan cap exceeded; estimator is not an upper bound")
+
+
 def zll_bound(q: int, k: int, d: int, aq=None) -> int:
     """Smallest r such that for every m up to floor((d-1)/2) the radius-m
     ball in the message space fits inside a length-r code of distance d-2m.
@@ -348,47 +357,19 @@ def zll_bound(q: int, k: int, d: int, aq=None) -> int:
     ``aq`` customizes the code-size estimator (default: exact where small,
     closed-form upper bounds otherwise — upper estimates only relax the
     inequality, keeping the reported r a valid lower bound)."""
-    PrimeField(q)
-    if d < 2 or k < 1:
-        raise ValueError("need d >= 2 and k >= 1")
-    if aq is None:
-        aq = lambda qq, nn, dd: a_q_auto(qq, nn, dd).value
-    m_max = (d - 1) // 2
-    balls = [hamming_ball_size(q, k, m) for m in range(m_max + 1)]
-    for r in range(k * d + d + 2):
-        if all(balls[m] <= aq(q, r, d - 2 * m) for m in range(m_max + 1)):
-            return r
-    raise AssertionError("scan cap exceeded; estimator is not an upper bound")
+    return _packing_scan(q, k, d, aq, lambda r, m: 0)
 
 
 def bgs_bound(q: int, k: int, d: int, aq=None) -> int:
     """Smallest r such that for every m up to floor((d-1)/2):
     ball(q,k,m) <= A_q(r, d-2m) - ball(q,r,m)/ball(q,r,d-2m-1) + 1,
     with the division kept as an exact fraction."""
-    PrimeField(q)
-    if d < 2 or k < 1:
-        raise ValueError("need d >= 2 and k >= 1")
-    if aq is None:
-        aq = lambda qq, nn, dd: a_q_auto(qq, nn, dd).value
-    m_max = (d - 1) // 2
-    balls = [hamming_ball_size(q, k, m) for m in range(m_max + 1)]
-    for r in range(k * d + d + 2):
-        ok = True
-        for m in range(m_max + 1):
-            rhs = (
-                aq(q, r, d - 2 * m)
-                - Fraction(
-                    hamming_ball_size(q, r, m),
-                    hamming_ball_size(q, r, d - 2 * m - 1),
-                )
-                + 1
-            )
-            if balls[m] > rhs:
-                ok = False
-                break
-        if ok:
-            return r
-    raise AssertionError("scan cap exceeded; estimator is not an upper bound")
+
+    def margin(r: int, m: int) -> Fraction:
+        far = hamming_ball_size(q, r, d - 2 * m - 1)
+        return Fraction(hamming_ball_size(q, r, m), far) - 1
+
+    return _packing_scan(q, k, d, aq, margin)
 
 
 class AqTable:

@@ -12,6 +12,7 @@ import argparse
 import json
 import shlex
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from time import monotonic
 
@@ -73,24 +74,22 @@ def _required_t(args) -> int:
 
 
 def _budgets(args) -> tuple[int, float | None]:
-    nodes = args.budget_nodes if args.budget_nodes is not None else DEFAULT_NODE_BUDGET
-    if nodes <= 0:
+    if args.budget_nodes <= 0:
         raise ValueError("--budget-nodes must be positive")
     deadline = None
     if args.budget_seconds is not None:
         if args.budget_seconds <= 0:
             raise ValueError("--budget-seconds must be positive")
         deadline = monotonic() + args.budget_seconds
-    return nodes, deadline
+    return args.budget_nodes, deadline
 
 
 def _provenance(args, argv) -> list[str]:
-    nodes = args.budget_nodes if args.budget_nodes is not None else DEFAULT_NODE_BUDGET
     seconds = args.budget_seconds if args.budget_seconds is not None else "none"
     return [
         f"tool fcc {__version__}",
         "command fcc " + shlex.join(argv),
-        f"budget-nodes {nodes} budget-seconds {seconds}",
+        f"budget-nodes {args.budget_nodes} budget-seconds {seconds}",
     ]
 
 
@@ -98,9 +97,7 @@ def _meta(args, argv) -> dict:
     return {
         "tool": f"fcc {__version__}",
         "command": "fcc " + shlex.join(argv),
-        "budget_nodes": (
-            args.budget_nodes if args.budget_nodes is not None else DEFAULT_NODE_BUDGET
-        ),
+        "budget_nodes": args.budget_nodes,
         "budget_seconds": args.budget_seconds,
     }
 
@@ -216,9 +213,7 @@ def cmd_nq(args, argv) -> int:
         D = matrix_from_lists(parse_inline_rows(args.matrix))
         q = args.q if args.q is not None else 2
     else:
-        f = read_function_file(args.func)
-        if args.q is not None and args.q != f.q:
-            raise ValueError(f"--q {args.q} contradicts the file's q={f.q}")
+        f = _load_function(args)
         t = _required_t(args)
         D = build_drm(f, t) if args.target == "drm" else build_fdm(f, t)
         q = f.q
@@ -375,18 +370,7 @@ def cmd_compare(args, argv) -> int:
         _emit_json(
             {
                 "meta": _meta(args, argv),
-                "rows": [
-                    {
-                        "k": row.k,
-                        "r_prime": row.r_prime,
-                        "aq_kind": row.aq_kind,
-                        "r_bgs": row.r_bgs,
-                        "delta_bgs": row.delta_bgs,
-                        "delta_blb": row.delta_blb,
-                        "delta_bub": row.delta_bub,
-                    }
-                    for row in rows
-                ],
+                "rows": [asdict(row) for row in rows],
             },
             args.out,
         )
@@ -411,7 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         p.add_argument("--out", metavar="PATH", help="write output here, not stdout")
         p.add_argument("--format", choices=("csv", "json"))
-        p.add_argument("--budget-nodes", type=int, metavar="N")
+        p.add_argument(
+            "--budget-nodes", type=int, metavar="N", default=DEFAULT_NODE_BUDGET
+        )
         p.add_argument("--budget-seconds", type=float, metavar="S")
         if func_source:
             p.add_argument("--func", metavar="PATH", help="function file")

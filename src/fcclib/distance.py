@@ -3,11 +3,11 @@
 A required-distance matrix D over indices 0..M-1 demands d_H(p_i, p_j) >=
 D[i][j] for parity words p_i, p_j.  Two constructions are provided: the full
 pairwise matrix over all q^k messages (entry [2t+1 - d_H]^+ wherever the
-function values differ) and its image-level reduction built from minimum
-cross-class distances; each row of the former is read off the radius-2t
-Hamming ball around its message, for any f.  N_q(D), the shortest word length
-admitting a code that meets D, is computed by exact depth-first search at desk
-scale.
+function values differ) and its image-level reduction, the class-wise maximum
+of the former.  Both are read off the radius-2t Hamming ball, for any f: a
+message u and u + z in another class demand the gap 2t+1 - wt(z).  N_q(D), the
+shortest word length admitting a code that meets D, is computed by exact
+depth-first search at desk scale.
 """
 
 from __future__ import annotations
@@ -17,8 +17,15 @@ from fractions import Fraction
 from time import monotonic
 
 from .errors import BudgetExceededError
-from .fields import FieldVec, VectorIndex, differences, hamming_distance, translate
-from .functions import FunctionSpec, coset_decomposition, function_distance
+from .fields import (
+    FieldVec,
+    PrimeField,
+    VectorIndex,
+    differences,
+    hamming_distance,
+    translate,
+)
+from .functions import FunctionSpec, coset_decomposition
 
 PAIRWISE_MATRIX_LIMIT = 4096
 """Largest q^k for which the full message-pairwise matrix is built."""
@@ -90,6 +97,12 @@ def _check_t(f: FunctionSpec, t: int) -> None:
         raise ValueError(f"2t+1 = {2 * t + 1} exceeds the entry range")
 
 
+def _gap_ball(f: FunctionSpec, t: int):
+    """Every z with 1 <= wt(z) <= 2t, and the gap 2t+1 - wt(z) it demands."""
+    ball = differences(f.q, f.k, 1, 2 * t)
+    return ball, [2 * t + 1 - len(support) for _, support, _ in ball]
+
+
 def build_drm(f: FunctionSpec, t: int) -> DistanceMatrix:
     """Message-pairwise required-distance matrix of order q^k.
 
@@ -103,11 +116,9 @@ def build_drm(f: FunctionSpec, t: int) -> DistanceMatrix:
             f"q^k = {size} exceeds the pairwise-matrix limit {PAIRWISE_MATRIX_LIMIT}"
         )
     cls = coset_decomposition(f).class_of
-    need = 2 * t + 1
     # Only messages within distance 2t of u_i can need a gap: row i is filled
     # from the ball i + z, wt(z) <= 2t, and frozen before the next is built.
-    ball = differences(f.q, f.k, 1, 2 * t)
-    gaps = [need - len(support) for _, support, _ in ball]
+    ball, gaps = _gap_ball(f, t)
     rows = []
     for i in range(size):
         row = bytearray(size)
@@ -123,22 +134,27 @@ def build_drm(f: FunctionSpec, t: int) -> DistanceMatrix:
 def build_fdm(f: FunctionSpec, t: int) -> DistanceMatrix:
     """Image-level required-distance matrix of order |Im(f)|.
 
-    Entry (i, j) is [2t+1 - d_f]^+ off the diagonal, where d_f is the minimum
-    Hamming distance between the classes of image values i and j; labels are
-    the image values in first-appearance order.
+    Entry (a, b) is [2t+1 - d_f]^+ off the diagonal, where d_f is the minimum
+    Hamming distance between the classes of image values a and b; labels are
+    the image values in first-appearance order.  Row a, the class-wise maximum
+    of the pairwise rows, is read off the radius-2t balls around class a.  For
+    linear f one member u per class starts a walk (as v runs over class b,
+    v - u runs over the coset b - a whatever u is), at |Im(f)| * V(k, 2t);
+    table f walks from every message, at q^k * V(k, 2t).
     """
     _check_t(f, t)
     dec = coset_decomposition(f)
-    m = len(dec)
-    need = 2 * t + 1
-    rows = [bytearray(m) for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            d = function_distance(f, dec.labels[i], dec.labels[j])
-            gap = need - d
-            if gap > 0:
-                rows[i][j] = gap
-                rows[j][i] = gap
+    cls = dec.class_of
+    ball, gaps = _gap_ball(f, t)
+    starts = [c[0] for c in dec.classes] if f.mode == "linear" else range(f.q**f.k)
+    rows = [bytearray(len(dec)) for _ in dec.labels]
+    for i in starts:
+        cls_i = cls[i]
+        row = rows[cls_i]
+        for j, gap in zip(translate(f.q, i, ball), gaps):
+            cls_j = cls[j]
+            if cls_j != cls_i and gap > row[cls_j]:
+                row[cls_j] = gap
     return DistanceMatrix(rows=tuple(bytes(r) for r in rows), labels=dec.labels)
 
 
@@ -240,9 +256,12 @@ def n_q_exact(
 
     Scans lengths upward from the largest entry of D (no shorter length can
     satisfy it), so the first success is minimal.  Exhausting r_cap yields a
-    ``found=False`` result; matrices larger than ``max_order`` are refused,
-    and running past ``deadline`` raises BudgetExceededError.
+    ``found=False`` result; a non-prime q or an empty D raises ValueError, an
+    order above ``max_order`` or running past ``deadline`` BudgetExceededError.
     """
+    PrimeField(q)
+    if D.order == 0:
+        raise ValueError("the requirement matrix is empty")
     if r_cap is None:
         r_cap = 12 if q == 2 else 8
     if D.order > max_order:

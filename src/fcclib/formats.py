@@ -252,9 +252,7 @@ def render_compare_csv(
         cols += ["delta_blb", "delta_bub"]
     lines = [",".join(cols)]
     for row in rows:
-        cells = [row.k, row.r_prime, row.r_bgs, row.delta_bgs]
-        if include_table_columns:
-            cells += [row.delta_blb, row.delta_bub]
+        cells = [getattr(row, col) for col in cols]
         lines.append(",".join("" if c is None else str(c) for c in cells))
     return _comment_block(header_lines) + "\n".join(lines) + "\n"
 

@@ -176,6 +176,13 @@ def test_nq_inline_and_capped(capsys):
     assert payload["found"] is False and payload["r_cap"] == 2
 
 
+def test_nq_rejects_empty_matrix_and_composite_q(capsys):
+    code, out, err = run(capsys, "nq", "--matrix", ";")
+    assert code == EX_INPUT and out == "" and "empty" in err
+    code, out, err = run(capsys, "nq", "--matrix", "0,0;0,0", "--q", "6")
+    assert code == EX_INPUT and out == "" and "prime" in err
+
+
 def test_nq_from_function(capsys, data_dir, ex_q2_k4):
     code, payload, _ = run_json(
         capsys, "nq", "--func", str(data_dir / "ex_q2_k4.func"), "--t", "1"

@@ -114,13 +114,13 @@ def test_drm_matches_definition_oracle():
 def test_fdm_matches_definition_oracle():
     rng = random.Random(20260819)
     for _ in range(40):
-        q = rng.choice([2, 3])
-        k = rng.randrange(1, 4)
+        q = rng.choice([2, 3, 5])
+        k = rng.randrange(1, 5)
         if rng.random() < 0.5:
             f = rand_linear(rng, q, k, rng.randrange(0, k + 1))
         else:
             f = rand_table(rng, q, k, rng.randrange(1, q**k + 1))
-        t = rng.randrange(1, 3)
+        t = rng.randrange(1, 4)
         got = build_fdm(f, t)
         entries, labels = slow_fdm(f, t)
         assert got.to_lists() == entries
@@ -178,7 +178,7 @@ def test_linear_drm_and_fdm_columns_are_permutations():
 def test_fdm_is_classwise_maximum_of_drm():
     rng = random.Random(11)
     for _ in range(25):
-        q = rng.choice([2, 3])
+        q = rng.choice([2, 3, 5])
         k = rng.randrange(1, 4)
         if rng.random() < 0.5:
             f = rand_linear(rng, q, k, rng.randrange(0, k + 1))
@@ -291,6 +291,13 @@ def test_n_q_exact_refuses_large_matrices():
     assert D.order > DEFAULT_MAX_ORDER
     with pytest.raises(BudgetExceededError):
         n_q_exact(D, 2)
+
+
+def test_n_q_exact_rejects_empty_matrix_and_composite_q():
+    with pytest.raises(ValueError, match="empty"):
+        n_q_exact(matrix_from_lists([]), 2)
+    with pytest.raises(ValueError, match="prime"):
+        n_q_exact(matrix_from_lists([[0, 0], [0, 0]]), 6)
 
 
 def test_n_q_exact_deadline_interrupts():
