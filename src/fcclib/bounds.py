@@ -164,9 +164,7 @@ def a_q_upper(q: int, n: int, d: int, method: str) -> AqEstimate:
             value = q**n // hamming_ball_size(q, n, (d - 1) // 2)
     elif method == "singleton":
         kind = "singleton_upper"
-        value = q ** (n - d + 1) if n - d + 1 >= 0 else 1
-        if d > n:
-            value = 1
+        value = q ** max(n - d + 1, 0)
     else:
         raise ValueError(f"unknown method {method!r}")
     return AqEstimate(q=q, n=n, d=d, value=value, kind=kind)
@@ -440,20 +438,11 @@ def compare_report(
     achievable redundancies (missing rows leave the cells empty)."""
     out = []
     for k in k_range:
-        est = table.estimate_for(q, k, d) if table is not None else None
-        if est is None:
-            est = a_q_auto(q, k, d)
+        row = table.estimate_for(q, k, d) if table is not None else None
+        est = a_q_auto(q, k, d) if row is None else row
         r_prime = systematic_ecc_bound(q, k, d, est)
         r_bgs = bgs_bound(q, k, d)
-        delta_blb = None
-        delta_bub = None
-        if table is not None:
-            row = table.estimate_for(q, k, d)
-            if row is not None:
-                delta_blb = r_bgs - systematic_ecc_bound(q, k, d, row)
-            r_bub = table.achievable_redundancy(q, k, d)
-            if r_bub is not None:
-                delta_bub = r_bgs - r_bub
+        r_bub = table.achievable_redundancy(q, k, d) if table is not None else None
         out.append(
             CompareRow(
                 k=k,
@@ -461,8 +450,9 @@ def compare_report(
                 aq_kind=est.kind,
                 r_bgs=r_bgs,
                 delta_bgs=r_bgs - r_prime,
-                delta_blb=delta_blb,
-                delta_bub=delta_bub,
+                # A table row is the estimate behind r_prime itself.
+                delta_blb=None if row is None else r_bgs - r_prime,
+                delta_bub=None if r_bub is None else r_bgs - r_bub,
             )
         )
     return out

@@ -97,12 +97,6 @@ def _check_t(f: FunctionSpec, t: int) -> None:
         raise ValueError(f"2t+1 = {2 * t + 1} exceeds the entry range")
 
 
-def _gap_ball(f: FunctionSpec, t: int):
-    """Every z with 1 <= wt(z) <= 2t, and the gap 2t+1 - wt(z) it demands."""
-    ball = differences(f.q, f.k, 1, 2 * t)
-    return ball, [2 * t + 1 - len(support) for _, support, _ in ball]
-
-
 def build_drm(f: FunctionSpec, t: int) -> DistanceMatrix:
     """Message-pairwise required-distance matrix of order q^k.
 
@@ -116,9 +110,11 @@ def build_drm(f: FunctionSpec, t: int) -> DistanceMatrix:
             f"q^k = {size} exceeds the pairwise-matrix limit {PAIRWISE_MATRIX_LIMIT}"
         )
     cls = coset_decomposition(f).class_of
+    need = 2 * t + 1
     # Only messages within distance 2t of u_i can need a gap: row i is filled
     # from the ball i + z, wt(z) <= 2t, and frozen before the next is built.
-    ball, gaps = _gap_ball(f, t)
+    ball = differences(f.q, f.k, 1, 2 * t)
+    gaps = [need - len(support) for _, support, _ in ball]
     rows = []
     for i in range(size):
         row = bytearray(size)
@@ -137,24 +133,36 @@ def build_fdm(f: FunctionSpec, t: int) -> DistanceMatrix:
     Entry (a, b) is [2t+1 - d_f]^+ off the diagonal, where d_f is the minimum
     Hamming distance between the classes of image values a and b; labels are
     the image values in first-appearance order.  Row a, the class-wise maximum
-    of the pairwise rows, is read off the radius-2t balls around class a.  For
-    linear f one member u per class starts a walk (as v runs over class b,
-    v - u runs over the coset b - a whatever u is), at |Im(f)| * V(k, 2t);
-    table f walks from every message, at q^k * V(k, 2t).
+    of the pairwise rows, is read off the radius-2t balls around class a, one
+    weight shell at a time, nearest first, so an entry is final once set and
+    a row with every entry set starts no more walks.  For linear f one member
+    u per class starts a walk (as v runs over class b, v - u runs over the
+    coset b - a whatever u is), at up to |Im(f)| * V(k, 2t) translates; table
+    f walks from every message, at up to q^k * V(k, 2t).  Beyond the class
+    map, one weight shell is held at a time.
     """
     _check_t(f, t)
     dec = coset_decomposition(f)
     cls = dec.class_of
-    ball, gaps = _gap_ball(f, t)
+    m = len(dec)
     starts = [c[0] for c in dec.classes] if f.mode == "linear" else range(f.q**f.k)
-    rows = [bytearray(len(dec)) for _ in dec.labels]
-    for i in starts:
-        cls_i = cls[i]
-        row = rows[cls_i]
-        for j, gap in zip(translate(f.q, i, ball), gaps):
-            cls_j = cls[j]
-            if cls_j != cls_i and gap > row[cls_j]:
-                row[cls_j] = gap
+    rows = [bytearray(m) for _ in dec.labels]
+    unset = [m - 1] * m  # off-diagonal entries of each row still 0
+    for w in range(1, min(2 * t, f.k) + 1):
+        if not any(unset):
+            break
+        shell, gap = differences(f.q, f.k, w, w), 2 * t + 1 - w
+        for i in starts:
+            a = cls[i]
+            if not unset[a]:
+                continue
+            row = rows[a]
+            for j in translate(f.q, i, shell):
+                b = cls[j]
+                if not row[b] and b != a:
+                    row[b] = rows[b][a] = gap
+                    unset[a] -= 1
+                    unset[b] -= 1
     return DistanceMatrix(rows=tuple(bytes(r) for r in rows), labels=dec.labels)
 
 

@@ -17,6 +17,7 @@ from fcclib import (
     linear_function,
     matrix_from_lists,
     n_q_exact,
+    table_function,
     verify_d_code,
 )
 from fcclib.distance import DEFAULT_MAX_ORDER, PAIRWISE_MATRIX_LIMIT
@@ -113,6 +114,7 @@ def test_drm_matches_definition_oracle():
 
 def test_fdm_matches_definition_oracle():
     rng = random.Random(20260819)
+    cases = []
     for _ in range(40):
         q = rng.choice([2, 3, 5])
         k = rng.randrange(1, 5)
@@ -120,7 +122,13 @@ def test_fdm_matches_definition_oracle():
             f = rand_linear(rng, q, k, rng.randrange(0, k + 1))
         else:
             f = rand_table(rng, q, k, rng.randrange(1, q**k + 1))
-        t = rng.randrange(1, 4)
+        cases.append((f, rng.randrange(1, 4)))
+    # Weight-valued labels keep some classes more than 2t apart, so their rows
+    # never fill and the walk reaches its last weight shell.
+    for q, k in ((2, 6), (3, 4)):
+        weights = [sum(s != 0 for s in u) for u in all_words(q, k)]
+        cases += [(table_function(q, k, weights), t) for t in (1, 2)]
+    for f, t in cases:
         got = build_fdm(f, t)
         entries, labels = slow_fdm(f, t)
         assert got.to_lists() == entries
