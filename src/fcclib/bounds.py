@@ -17,6 +17,8 @@ from time import monotonic
 from .cosets import select_subspace_representatives
 from .distance import (
     DEFAULT_MAX_ORDER,
+    _check_t,
+    _refuse_order,
     binary_plotkin_bound,
     build_drm,
     build_fdm,
@@ -26,10 +28,12 @@ from .errors import BudgetExceededError
 from .fields import (
     PrimeField,
     VectorIndex,
+    _bitmask,
     differences,
     hamming_ball_size,
     hamming_distance,
     hamming_weight,
+    translate,
 )
 from .functions import (
     FunctionSpec,
@@ -39,7 +43,7 @@ from .functions import (
     image_size,
     kernel_weight_sum,
 )
-from .graph import EXACT_ALPHA_LIMIT, _cayley_rows, build_graph
+from .graph import EXACT_ALPHA_LIMIT, build_graph
 from .mis import DEFAULT_NODE_BUDGET, max_independent_set
 from .spectrum import eigenvalue_redundancy_bound
 
@@ -99,9 +103,7 @@ def a_q_exact(
         return AqEstimate(q=q, n=n, d=d, value=value, kind="exact", witness=witness)
     index = VectorIndex(q, n)
     if d == 1:
-        witness = (
-            tuple(index.vector(i) for i in range(q**n)) if q**n <= 4096 else None
-        )
+        witness = tuple(index.all_vectors()) if q**n <= 4096 else None
         return AqEstimate(q=q, n=n, d=d, value=q**n, kind="exact", witness=witness)
     if d > n:
         return AqEstimate(
@@ -112,11 +114,7 @@ def a_q_exact(
         # >= 2, meeting the Singleton bound, so it is exactly optimal.
         witness = None
         if q**n <= AQ_EXACT_LIMIT:
-            witness = tuple(
-                index.vector(i)
-                for i in range(q**n)
-                if sum(index.vector(i)) % q == 0
-            )
+            witness = tuple(v for v in index.all_vectors() if sum(v) % q == 0)
         return AqEstimate(
             q=q, n=n, d=d, value=q ** (n - 1), kind="exact", witness=witness
         )
@@ -124,22 +122,15 @@ def a_q_exact(
         raise ValueError(
             f"exact search limited to {AQ_EXACT_LIMIT} words; q^n = {q ** n}"
         )
-    # Words closer than d conflict: a Cayley graph with connection set
-    # {z : 1 <= wt(z) < d}.
-    total = q**n
-    rows = _cayley_rows(q, total, differences(q, n, 1, d - 1))
-    # Any maximum code can be translated to contain the zero word, so fix it
-    # and search the subgraph of words at distance >= d from zero.
-    keep = [v for v in range(1, total) if not rows[0] >> v & 1]
+    # Words closer than d conflict.  A maximum code can be translated to hold
+    # zero, so search the words at distance >= d from it, rows as translates.
+    ball = differences(q, n, 1, d - 1)
+    keep = sorted(set(range(1, q**n)).difference(z for z, _, _ in ball))
     pos = {v: i for i, v in enumerate(keep)}
-    sub = []
-    for v in keep:
-        mask = 0
-        row = rows[v]
-        for w in keep:
-            if row >> w & 1:
-                mask |= 1 << pos[w]
-        sub.append(mask)
+    sub = [
+        _bitmask((pos[w] for w in translate(q, v, ball) if w in pos), len(keep))
+        for v in keep
+    ]
     result = max_independent_set(sub, node_budget=node_budget)
     chosen = [0] + [keep[i] for i in result.members]
     witness = tuple(index.vector(v) for v in sorted(chosen))
@@ -257,8 +248,10 @@ def fdm_upper_bound(
     max_order: int = DEFAULT_MAX_ORDER,
     deadline: float | None = None,
 ) -> int:
-    """Achievable redundancy: exact minimum length of a parity code meeting
-    the function-distance requirements (search on the FDM)."""
+    """Achievable redundancy: the exact N_q of the function-distance matrix,
+    whose order is checked against ``max_order`` before it is built."""
+    _check_t(f, t)
+    _refuse_order(image_size(f), max_order)
     result = n_q_exact(
         build_fdm(f, t), f.q, r_cap=r_cap, max_order=max_order, deadline=deadline
     )

@@ -7,13 +7,14 @@ function values differ) and its image-level reduction, the class-wise maximum
 of the former.  Both are read off the radius-2t Hamming ball, for any f: a
 message u and u + z in another class demand the gap 2t+1 - wt(z).  N_q(D), the
 shortest word length admitting a code that meets D, is computed by exact
-depth-first search at desk scale.
+depth-first search over bitmasks of rank-form words, lowest rank first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from time import monotonic
 
 from .errors import BudgetExceededError
@@ -21,6 +22,7 @@ from .fields import (
     FieldVec,
     PrimeField,
     VectorIndex,
+    _bitmask,
     differences,
     hamming_distance,
     translate,
@@ -214,42 +216,49 @@ class NqSearchResult:
     r_cap: int
 
 
+def _refuse_order(order: int, max_order: int) -> None:
+    if order > max_order:
+        raise BudgetExceededError(
+            f"matrix order {order} exceeds the search limit {max_order}"
+        )
+
+
 def _search_at_length(
     D: DistanceMatrix, q: int, r: int, deadline: float | None = None
 ) -> ParityCode | None:
-    """First code of length r meeting D in depth-first candidate-rank order,
-    with the first word pinned to zero (translation symmetry)."""
-    m = D.order
-    index = VectorIndex(q, r) if r > 0 else None
-    candidates = list(index.all_vectors()) if index else [()]
-    chosen: list[FieldVec] = [(0,) * r]
-    if m == 1:
-        return ParityCode(q=q, r=r, words=tuple(chosen))
-    trials = 0
+    """First code of length r meeting D, depth first with the first word
+    pinned to zero (translation symmetry).  The words admissible at level L
+    are one bitmask of ranks: F_q^r less the ball c_j + {z : wt(z) < D[L][j]}
+    around each chosen word c_j, tried lowest rank first."""
+    m, size = D.order, q**r
+    balls = {e: differences(q, r, 0, e - 1) for e in set(b"".join(D.rows)) if e}
+    # The ball of radius e - 1 around word c, as a mask; at most 16 MiB held.
+    near = lru_cache(maxsize=(1 << 27) // size + 1)(
+        lambda c, e: _bitmask(translate(q, c, balls[e]), size)
+    )
+    chosen = [0]
 
     def extend(level: int) -> bool:
-        nonlocal trials
-        row = D[level]
-        for cand in candidates:
-            trials += 1
-            if deadline is not None and trials & 4095 == 0 and monotonic() > deadline:
-                raise BudgetExceededError(
-                    "parity-code search exceeded the time budget"
-                )
-            ok = True
-            for j in range(level):
-                if row[j] and hamming_distance(cand, chosen[j]) < row[j]:
-                    ok = False
-                    break
-            if ok:
-                chosen.append(cand)
-                if level + 1 == m or extend(level + 1):
-                    return True
-                chosen.pop()
+        if level == m:
+            return True
+        # Every call reads the clock: one call may build m balls of q^r words.
+        if deadline is not None and monotonic() > deadline:
+            raise BudgetExceededError("parity-code search exceeded the time budget")
+        allowed = (1 << size) - 1
+        for c, e in zip(chosen, D[level]):
+            if e:
+                allowed &= ~near(c, e)
+        while allowed:
+            low = allowed & -allowed
+            chosen.append(low.bit_length() - 1)
+            if extend(level + 1):
+                return True
+            chosen.pop()
+            allowed ^= low
         return False
 
     if extend(1):
-        return ParityCode(q=q, r=r, words=tuple(chosen))
+        return ParityCode(q=q, r=r, words=tuple(map(VectorIndex(q, r).vector, chosen)))
     return None
 
 
@@ -263,7 +272,8 @@ def n_q_exact(
     """Smallest word length admitting a code that meets D, with a witness.
 
     Scans lengths upward from the largest entry of D (no shorter length can
-    satisfy it), so the first success is minimal.  Exhausting r_cap yields a
+    satisfy it), so the first success is minimal; each row's admissible words
+    are a bitmask of ranks, tried lowest first.  Exhausting r_cap yields a
     ``found=False`` result; a non-prime q or an empty D raises ValueError, an
     order above ``max_order`` or running past ``deadline`` BudgetExceededError.
     """
@@ -272,12 +282,8 @@ def n_q_exact(
         raise ValueError("the requirement matrix is empty")
     if r_cap is None:
         r_cap = 12 if q == 2 else 8
-    if D.order > max_order:
-        raise BudgetExceededError(
-            f"matrix order {D.order} exceeds the search limit {max_order}"
-        )
-    start = D.max_entry()
-    for r in range(start, r_cap + 1):
+    _refuse_order(D.order, max_order)
+    for r in range(D.max_entry(), r_cap + 1):
         witness = _search_at_length(D, q, r, deadline=deadline)
         if witness is not None:
             assert verify_d_code(witness, D)

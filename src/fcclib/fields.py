@@ -164,6 +164,17 @@ def translate(q: int, i: int, diffs) -> list[int]:
     return out
 
 
+def _bitmask(bits, size: int) -> int:
+    """The set of ranks ``bits``, all below ``size``, as one bitmask."""
+    # Setting characters of a '0'/'1' string and parsing it once costs about
+    # as much as OR-ing bits into an int on sparse sets and less on dense ones.
+    digits = bytearray(b"0") * size
+    top = size - 1
+    for j in bits:
+        digits[top - j] = 49  # ord("1")
+    return int(digits, 2)
+
+
 def vec_add(q: int, x: FieldVec, y: FieldVec) -> FieldVec:
     """Symbol-wise sum of ``x`` and ``y`` mod q."""
     if len(x) != len(y):

@@ -22,12 +22,13 @@ from .fields import (
     ENUMERATION_LIMIT,
     Difference,
     VectorIndex,
+    _bitmask,
     differences,
     hamming_distance,
     translate,
 )
 from .functions import FunctionSpec, coset_decomposition
-from .mis import DEFAULT_NODE_BUDGET, MisResult, max_independent_set
+from .mis import DEFAULT_NODE_BUDGET, MisResult, _bits, max_independent_set
 
 GRAPH_VERTEX_LIMIT = 2**16
 EXACT_ALPHA_LIMIT = 2**11
@@ -121,17 +122,7 @@ def _connection_set(f: FunctionSpec, t: int, r: int) -> list[Difference]:
 def _cayley_rows(q: int, n_vertices: int, diffs: list[Difference]) -> list[int]:
     """Bit-packed rows of the graph on ranks 0..n_vertices-1 whose row i is
     the set i + z over the differences z in ``diffs``."""
-    # Setting characters of a '0'/'1' string and parsing it once costs about
-    # as much as OR-ing bits into an int on sparse rows and less on dense ones.
-    rows = []
-    top, one = n_vertices - 1, ord("1")
-    zeros = b"0" * n_vertices
-    for i in range(n_vertices):
-        digits = bytearray(zeros)
-        for j in translate(q, i, diffs):
-            digits[top - j] = one
-        rows.append(int(digits, 2))
-    return rows
+    return [_bitmask(translate(q, i, diffs), n_vertices) for i in range(n_vertices)]
 
 
 def connection_row(f: FunctionSpec, t: int, r: int) -> list[int]:
@@ -373,15 +364,13 @@ def cartesian_bound_graph(
         raise ValueError(f"graph would have {n_vertices} vertices; limit is {limit}")
     g0 = build_graph(f, t, 0, limit=limit)
     p_count = q**r
+    # Vertex (u, 0)'s neighbours in other messages; (u, p)'s are these + p.
+    spread = [
+        _bitmask((v * p_count for v in _bits(row)), n_vertices) for row in g0.rows
+    ]
     rows = []
     for i in range(n_vertices):
         ui, pi = divmod(i, p_count)
         block = ((1 << p_count) - 1) << (ui * p_count)
-        acc = block ^ (1 << i)
-        nbrs = g0.rows[ui]
-        while nbrs:
-            low = nbrs & -nbrs
-            acc |= 1 << ((low.bit_length() - 1) * p_count + pi)
-            nbrs ^= low
-        rows.append(acc)
+        rows.append(block ^ (1 << i) | spread[ui] << pi)
     return FccGraph(q=q, k=k, r=r, t=t, rows=tuple(rows))

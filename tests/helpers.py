@@ -96,6 +96,35 @@ def slow_code_graph(q, n, d):
     )
 
 
+def slow_search_at_length(entries, q, r):
+    """First code of length r meeting the requirement matrix ``entries``
+    (nested lists), as a tuple of words, or None when there is none.
+
+    Depth first over the words in lexicographic order, each candidate
+    checked against every chosen word, with the first word pinned to zero:
+    the tuple-form scan the library's rank-form search must reproduce.
+    """
+    m = len(entries)
+    words = all_words(q, r)
+    chosen = [(0,) * r]
+
+    def extend(level):
+        if level == m:
+            return True
+        for cand in words:
+            if all(
+                slow_distance(cand, chosen[j]) >= entries[level][j]
+                for j in range(level)
+            ):
+                chosen.append(cand)
+                if extend(level + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    return tuple(chosen) if extend(1) else None
+
+
 def rand_parity(rng, q, k, r):
     """Random parity table: one length-r word per message, no code property."""
     return tuple(tuple(rng.randrange(q) for _ in range(r)) for _ in range(q**k))

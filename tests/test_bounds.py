@@ -15,6 +15,7 @@ from fcclib import (
     a_q_upper,
     bgs_bound,
     bound_report,
+    bounds,
     compare_report,
     fdm_upper_bound,
     linear_function,
@@ -62,7 +63,8 @@ def test_exact_witnesses_meet_the_distance():
 def test_exact_code_graph_matches_naive_distance_graph():
     for q, n, d, known in [(3, 4, 3, 9), (5, 3, 3, 5)]:
         naive = slow_code_graph(q, n, d)
-        # the conflict graph a_q_exact searches: Cayley rows for 1 <= wt < d
+        # the Cayley rows for 1 <= wt < d are the conflict graph; a_q_exact
+        # searches its subgraph on the words at distance >= d from zero
         assert _cayley_rows(q, q**n, differences(q, n, 1, d - 1)) == naive
         est = a_q_exact(q, n, d)
         assert est.value == known == max_independent_set(naive).size
@@ -338,6 +340,19 @@ def test_linear_averaging_integer_is_clamped_at_zero():
     entry = next(e for e in report.entries if e.name == "linear_averaging")
     assert entry.rational == Fraction(-129, 32)
     assert entry.integer == 0
+
+
+def test_report_refuses_code_search_before_building_the_fdm(monkeypatch):
+    # first 6 of 10 bits at t=2: the image has 64 values, above the search
+    # limit, so only the optimality check builds the matrix
+    proj6 = linear_function(2, [[int(j == i) for j in range(10)] for i in range(6)])
+    built = []
+    real = bounds.build_fdm
+    monkeypatch.setattr(bounds, "build_fdm", lambda f, t: built.append(t) or real(f, t))
+    report = bound_report(proj6, 2, node_budget=2_000)
+    entry = next(e for e in report.entries if e.name == "code_search")
+    assert entry.note == "budget: matrix order 64 exceeds the search limit 20"
+    assert built == [2]
 
 
 def test_report_budget_notes(ex_q2_k4):

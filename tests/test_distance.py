@@ -22,7 +22,15 @@ from fcclib import (
 )
 from fcclib.distance import DEFAULT_MAX_ORDER, PAIRWISE_MATRIX_LIMIT
 from fcclib.formats import read_matrix_csv
-from helpers import all_words, rand_linear, rand_table, slow_distance, slow_drm, slow_fdm
+from helpers import (
+    all_words,
+    rand_linear,
+    rand_table,
+    slow_distance,
+    slow_drm,
+    slow_fdm,
+    slow_search_at_length,
+)
 
 
 def _rand_matrix(rng, m, max_entry=3):
@@ -278,6 +286,47 @@ def test_n_q_exact_matches_brute_force():
         if res.n > 0:
             sub = n_q_exact(D, q, r_cap=res.n - 1)
             assert not sub.found
+
+
+def _reference_scan(entries, q, r_cap, start=0):
+    """First length from ``start`` up with a code, and that code, found by
+    the tuple-form scan; None when r_cap is exhausted."""
+    for r in range(start, r_cap + 1):
+        words = slow_search_at_length(entries, q, r)
+        if words is not None:
+            return r, words
+    return None
+
+
+def test_n_q_exact_matches_tuple_form_scan():
+    # the caps keep the reference's proofs of infeasibility short; about
+    # half the draws end in found=False
+    rng = random.Random(31)
+    r_caps = {2: 5, 3: 3, 5: 2}
+    for trial in range(120):
+        q = rng.choice([2, 3, 5])
+        m = rng.randint(1, 6)
+        top = 0 if trial % 10 == 0 else 5
+        entries = _rand_matrix(rng, m, max_entry=top).to_lists()
+        res = n_q_exact(matrix_from_lists(entries), q, r_cap=r_caps[q])
+        ref = _reference_scan(entries, q, r_caps[q])
+        assert res.found == (ref is not None)
+        if ref is not None:
+            assert (res.n, res.witness.words) == ref
+
+
+def test_n_q_exact_matches_tuple_form_scan_on_benchmark_matrices():
+    projection = [[int(j == i) for j in range(10)] for i in range(4)]
+    for matrix, build in [
+        ([[1, 1, 1, 0], [1, 0, 1, 0]], build_drm),
+        ([[1, 0, 0, 0], [0, 1, 1, 1]], build_drm),
+        (projection[:3], build_fdm),
+        (projection, build_fdm),
+    ]:
+        D = build(linear_function(2, matrix), 2)
+        res = n_q_exact(D, 2)
+        ref = _reference_scan(D.to_lists(), 2, res.r_cap, start=D.max_entry())
+        assert res.found and (res.n, res.witness.words) == ref
 
 
 def test_n_q_exact_monotone_under_entry_increase():
