@@ -19,7 +19,15 @@ from time import monotonic
 from . import __version__
 from .bounds import bound_report, compare_report
 from .cosets import build_cosetwise_encoder
-from .distance import build_drm, build_fdm, matrix_from_lists, n_q_exact
+from .distance import (
+    DEFAULT_MAX_ORDER,
+    _check_t,
+    _refuse_order,
+    build_drm,
+    build_fdm,
+    matrix_from_lists,
+    n_q_exact,
+)
 from .errors import BudgetExceededError, CodeNotFoundError, DecodingFailureError
 from .formats import (
     label_text,
@@ -34,7 +42,7 @@ from .formats import (
     render_matrix_csv,
     render_spectrum_csv,
 )
-from .functions import coset_decomposition, linear_function
+from .functions import coset_decomposition, image_size, linear_function
 from .graph import (
     FccEncoder,
     build_graph,
@@ -274,6 +282,9 @@ def cmd_construct(args, argv) -> int:
         E = extract_fcc(G, f, t, node_budget=node_budget, deadline=deadline)
         method = f"independent-set search at r={args.r}"
     else:
+        # Refuse an image above the search limit before building its matrix.
+        _check_t(f, t)
+        _refuse_order(image_size(f), DEFAULT_MAX_ORDER)
         res = n_q_exact(build_fdm(f, t), f.q, r_cap=args.r_max, deadline=deadline)
         if not res.found:
             raise CodeNotFoundError(

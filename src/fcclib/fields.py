@@ -3,6 +3,10 @@
 Every matrix, graph, and file in this package indexes length-n vectors over
 F_q by their canonical rank: the integer whose base-q digits (most significant
 first) are the vector's symbols.  ``VectorIndex`` realises that bijection.
+
+The rank core adds vectors without decoding them: ``translate`` moves one rank
+by a list of sparse differences, and ``increment`` moves a whole set of ranks,
+held as one bitmask, by a unit vector in two masked shifts.
 """
 
 from __future__ import annotations
@@ -162,6 +166,24 @@ def translate(q: int, i: int, diffs) -> list[int]:
             j += ((digit + symbol) % q - digit) * place
         out.append(j)
     return out
+
+
+def increment_masks(q: int, size: int, place: int) -> tuple[int, int]:
+    """Masks (step, wrap) over the ranks below ``size``, a power of q above
+    ``place``: the ranks whose digit at ``place`` is below q - 1, and those
+    where it is q - 1."""
+    # One run of `place` ones at the top of every period of q * place bits.
+    runs = ((1 << size) - 1) // ((1 << q * place) - 1)
+    wrap = ((1 << place) - 1 << (q - 1) * place) * runs
+    return (1 << size) - 1 ^ wrap, wrap
+
+
+def increment(q: int, bits: int, place: int, masks: tuple[int, int]) -> int:
+    """The bitmask of ranks ``bits`` translated by the unit vector at
+    ``place``: each rank's digit there goes up by one mod q, a whole-row
+    permutation in two masked shifts (``masks`` from increment_masks)."""
+    step, wrap = masks
+    return (bits & step) << place | (bits & wrap) >> (q - 1) * place
 
 
 def _bitmask(bits, size: int) -> int:

@@ -9,8 +9,12 @@ independent set with one vertex per message is exactly an encoder table.
 For linear f adjacency depends only on the difference of two vertices, so the
 graph is a Cayley graph on F_q^(k+r): row i is i + S for the connection set S
 read off row 0; for table functions row i is read off the radius-2t ball
-around i, filtered by function class.  Verification and decoding use the same
-translation structure on the message space, searching Hamming balls.
+around i, filtered by function class.  Either way only row 0 is built point
+by point: every other row is an earlier one translated by a unit vector, one
+digit shift of the whole bit-packed row (``fields.increment``).  The block-
+circulant check applies the same shift to every row and compares.  Decoding
+and the violation search use the translation structure on the message space,
+searching Hamming balls.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ from .fields import (
     _bitmask,
     differences,
     hamming_distance,
+    increment,
+    increment_masks,
     translate,
 )
 from .functions import FunctionSpec, coset_decomposition
@@ -121,8 +127,19 @@ def _connection_set(f: FunctionSpec, t: int, r: int) -> list[Difference]:
 
 def _cayley_rows(q: int, n_vertices: int, diffs: list[Difference]) -> list[int]:
     """Bit-packed rows of the graph on ranks 0..n_vertices-1 whose row i is
-    the set i + z over the differences z in ``diffs``."""
-    return [_bitmask(translate(q, i, diffs), n_vertices) for i in range(n_vertices)]
+    the set i + z over the differences z in ``diffs``.
+
+    Row 0 is built once; row i is row i - place shifted by the unit vector
+    at place, the leading digit place of i.
+    """
+    rows = [_bitmask(translate(q, 0, diffs), n_vertices)]
+    place = 1
+    while place < n_vertices:
+        masks = increment_masks(q, n_vertices, place)
+        for j in range((q - 1) * place):
+            rows.append(increment(q, rows[j], place, masks))
+        place *= q
+    return rows
 
 
 def connection_row(f: FunctionSpec, t: int, r: int) -> list[int]:
@@ -320,30 +337,24 @@ class BlockCirculantReport:
 def verify_block_circulant(G: FccGraph, f: FunctionSpec) -> BlockCirculantReport:
     """Check that the adjacency matrix is circulant in q-by-q blocks at every
     nesting level, i.e. invariant under jointly incrementing any one digit of
-    the row and column indices.
+    the row and column indices.  Row x shifted by that digit must equal the
+    row of x + e; each comparison is one whole-row digit shift.
     """
     if f.q != G.q:
         raise ValueError("function and graph disagree on the field size")
     q = G.q
     n = G.k + G.r
-    n_vertices = G.n_vertices
     for position in range(n):
         place = q ** (n - 1 - position)
+        masks = increment_masks(q, G.n_vertices, place)
         unit = ((place, (place,), (1,)),)
-        perm = [j for x in range(n_vertices) for j in translate(q, x, unit)]
-        for x in range(n_vertices):
-            row = G.rows[x]
-            shifted = 0
-            while row:
-                low = row & -row
-                shifted |= 1 << perm[low.bit_length() - 1]
-                row ^= low
-            expect = G.rows[perm[x]]
-            if shifted != expect:
-                diff = shifted ^ expect
+        for x, row in enumerate(G.rows):
+            (image,) = translate(q, x, unit)
+            diff = increment(q, row, place, masks) ^ G.rows[image]
+            if diff:
                 y = (diff & -diff).bit_length() - 1
                 return BlockCirculantReport(
-                    holds=False, violation=(position, perm[x], y)
+                    holds=False, violation=(position, image, y)
                 )
     return BlockCirculantReport(holds=True)
 

@@ -2,8 +2,14 @@
 
 An independent set in the input graph is a clique in its complement, so the
 solver runs branch-and-bound clique search (greedy-coloring upper bounds,
-candidate sets as arbitrary-precision bitmasks) on the complement.  Branching
-order is fixed, so sizes, witnesses, and node counts are deterministic.
+candidate sets as arbitrary-precision bitmasks) on the complement.  It holds
+one list of n rows, the input's; a node forms its complement row as
+``(p ^ bit) & ~adj[v]``, and a coloring step keeps the input neighbours of
+the vertex just colored with one AND.  Colors at or below ``best - size``
+can never be branched on, so they are colored but not recorded.  Clique
+levels live on an explicit stack, so no graph is too deep to search.
+Branching order is fixed, so sizes, witnesses, and node counts are
+deterministic.
 """
 
 from __future__ import annotations
@@ -62,16 +68,14 @@ def max_independent_set(
     if n == 0:
         return MisResult(size=0, members=(), nodes=0, complete=True)
     full = (1 << n) - 1
-    # Clique search runs on the complement.
-    nbr = [full & ~adjacency[v] & ~(1 << v) for v in range(n)]
+    # Input rows on 0..n-1 without self-loops; complement rows are formed
+    # per node from these.
+    adj = [adjacency[v] & full & ~(1 << v) for v in range(n)]
 
-    best = 0
-    best_mask = 0
-    nodes = 0
-    root_bound = n
-
-    def coloring(p: int) -> list[tuple[int, int]]:
-        """Vertices of p with greedy color numbers, ascending by color."""
+    def coloring(p: int, floor: int) -> list[tuple[int, int]]:
+        """Vertices of p with greedy color numbers above ``floor``, ascending
+        by color.  A color class is a clique of the input graph, so each step
+        keeps the uncolored input neighbours of the vertex just colored."""
         order = []
         color = 0
         uncolored = p
@@ -79,18 +83,34 @@ def max_independent_set(
             color += 1
             avail = uncolored
             while avail:
-                v = (avail & -avail).bit_length() - 1
-                order.append((v, color))
-                uncolored &= ~(1 << v)
-                avail &= ~(1 << v) & ~nbr[v]
+                low = avail & -avail
+                uncolored ^= low
+                v = low.bit_length() - 1
+                avail &= adj[v]
+                if color > floor:
+                    order.append((v, color))
         return order
 
-    def expand(p: int, size: int, mask: int) -> None:
-        nonlocal best, best_mask, nodes
-        order = coloring(p)
-        for v, c in reversed(order):
-            if size + c <= best:
-                return
+    best = 0
+    best_mask = 0
+    nodes = 0
+    root = coloring(full, 0)
+    root_bound = root[-1][1]
+    # One frame per clique level: [candidates, vertices left to branch on
+    # (popped from the highest color down), bit of the vertex that opened
+    # the level].  ``mask`` holds the vertices of the open levels.
+    stack = [[full, root, 0]]
+    mask = 0
+    try:
+        while stack:
+            frame = stack[-1]
+            order = frame[1]
+            size = len(stack) - 1
+            if not order or size + order[-1][1] <= best:
+                stack.pop()
+                mask ^= frame[2]
+                continue
+            v = order.pop()[0]
             nodes += 1
             if node_budget is not None and nodes > node_budget:
                 raise BudgetExceededError(
@@ -105,21 +125,17 @@ def max_independent_set(
                     best_upper=root_bound,
                 )
             bit = 1 << v
-            new_mask = mask | bit
             if size + 1 > best:
                 best = size + 1
-                best_mask = new_mask
+                best_mask = mask | bit
                 if target is not None and best >= target:
                     raise _TargetReached
-            new_p = p & nbr[v]
+            p = frame[0] ^ bit
+            frame[0] = p
+            new_p = p & ~adj[v]
             if new_p:
-                expand(new_p, size + 1, new_mask)
-            p &= ~bit
-
-    root_order = coloring(full)
-    root_bound = max(c for _, c in root_order)
-    try:
-        expand(full, 0, 0)
+                mask |= bit
+                stack.append([new_p, coloring(new_p, best - size - 1), bit])
         complete = True
     except _TargetReached:
         complete = False

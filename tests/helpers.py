@@ -154,6 +154,26 @@ def brute_violation(E):
     return None
 
 
+def slow_block_circulant(G):
+    """First (digit position, row, column) where incrementing one digit of
+    both indices changes the adjacency entry, rows and then columns in rank
+    order, or None; words are added symbol by symbol."""
+    n = G.k + G.r
+    words = all_words(G.q, n)
+    rank = {w: i for i, w in enumerate(words)}
+    for position in range(n):
+        step = [
+            rank[w[:position] + ((w[position] + 1) % G.q,) + w[position + 1 :]]
+            for w in words
+        ]
+        for x in range(len(words)):
+            row = {step[y] for y in range(len(words)) if G.rows[x] >> y & 1}
+            expect = {y for y in range(len(words)) if G.rows[step[x]] >> y & 1}
+            if row != expect:
+                return (position, step[x], min(row ^ expect))
+    return None
+
+
 def rows_from_lists(adj):
     """Bit-packed adjacency rows from a dense 0/1 matrix."""
     return [sum(1 << j for j, e in enumerate(row) if e) for row in adj]

@@ -355,6 +355,16 @@ def test_report_refuses_code_search_before_building_the_fdm(monkeypatch):
     assert built == [2]
 
 
+def test_report_on_a_graph_whose_alpha_exceeds_the_recursion_limit():
+    # f reads one of 11 bits: the 2,048-vertex r=0 graph has alpha = 1,024,
+    # a clique of that depth in the complement
+    f = linear_function(2, [(1,) + (0,) * 10])
+    report = bound_report(f, 1)
+    entry = next(e for e in report.entries if e.name == "independence")
+    assert entry.note == "exact alpha = 1024 at r=0"
+    assert entry.integer == 1
+
+
 def test_report_budget_notes(ex_q2_k4):
     report = bound_report(ex_q2_k4, 1, node_budget=1)
     by_name = {e.name: e for e in report.entries}

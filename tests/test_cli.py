@@ -4,10 +4,11 @@ import json
 
 import pytest
 
+import fcclib.cli
 import fcclib.graph
-from fcclib import __version__, build_drm, build_fdm, n_q_exact
+from fcclib import __version__, build_drm, build_fdm, linear_function, n_q_exact
 from fcclib.cli import EX_BUDGET, EX_INPUT, EX_NEGATIVE, EX_OK, main
-from fcclib.formats import read_encoder_file, read_matrix_csv
+from fcclib.formats import read_encoder_file, read_matrix_csv, render_function_file
 from helpers import all_words, slow_distance
 
 
@@ -326,6 +327,20 @@ def test_construct_graph_route(capsys, tmp_path, data_dir):
         "--parity", "whatever.txt",
     )
     assert code == EX_INPUT and "not both" in err
+
+
+def test_construct_refuses_order_before_building_the_fdm(capsys, monkeypatch, tmp_path):
+    # first 6 of 10 bits at t=2: 64 function values, above the search limit
+    proj6 = linear_function(2, [[int(j == i) for j in range(10)] for i in range(6)])
+    func = tmp_path / "proj6.func"
+    func.write_text(render_function_file(proj6))
+    built = []
+    real = fcclib.cli.build_fdm
+    monkeypatch.setattr(fcclib.cli, "build_fdm", lambda f, t: built.append(t) or real(f, t))
+    code, out, err = run(capsys, "construct", "--func", str(func), "--t", "2")
+    assert code == EX_BUDGET and out == ""
+    assert "matrix order 64 exceeds the search limit 20" in err
+    assert built == []
 
 
 def test_construct_cosetwise_route(capsys, tmp_path, data_dir, shipped_dir, ex_q2_k4):

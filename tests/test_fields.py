@@ -13,6 +13,8 @@ from fcclib.fields import (
     ENUMERATION_LIMIT,
     differences,
     enumerate_vectors,
+    increment,
+    increment_masks,
     is_prime,
     matrix_rank,
     translate,
@@ -191,3 +193,23 @@ def test_differences_and_translate_match_symbolwise_addition():
             for i, u in enumerate(words):
                 sums = [tuple((a + b) % q for a, b in zip(u, z)) for z in zs]
                 assert translate(q, i, diffs) == [words.index(s) for s in sums]
+
+
+def test_increment_adds_a_unit_vector_to_every_rank():
+    rng = random.Random(808)
+    for q, n in [(2, 5), (3, 3), (5, 2)]:
+        words = all_words(q, n)
+        size = len(words)
+        for position in range(n):
+            place = q ** (n - 1 - position)
+            masks = increment_masks(q, size, place)
+            assert masks[0] | masks[1] == (1 << size) - 1
+            assert masks[0] & masks[1] == 0
+            for _ in range(20):
+                members = [i for i in range(size) if rng.random() < 0.3]
+                moved = increment(q, sum(1 << i for i in members), place, masks)
+                unit = tuple(int(p == position) for p in range(n))
+                sums = [
+                    tuple((a + b) % q for a, b in zip(words[i], unit)) for i in members
+                ]
+                assert moved == sum(1 << words.index(s) for s in sums)

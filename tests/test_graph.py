@@ -20,7 +20,8 @@ from fcclib import (
     verify_block_circulant,
     verify_fcc,
 )
-from fcclib.graph import EXACT_ALPHA_LIMIT
+from fcclib.fields import _bitmask, differences, translate
+from fcclib.graph import EXACT_ALPHA_LIMIT, _cayley_rows, _connection_set
 from fcclib.formats import read_adjacency_file
 from helpers import (
     all_words,
@@ -31,6 +32,7 @@ from helpers import (
     rand_table,
     rows_from_lists,
     slow_adjacency,
+    slow_block_circulant,
     slow_distance,
     words_at_distance,
 )
@@ -112,6 +114,56 @@ def test_block_circulant_holds_for_linear_functions(ex_q2_k3, ex_q3_k2):
         t = rng.randrange(1, 3)
         report = verify_block_circulant(build_graph(f, t, r), f)
         assert report.holds and report.violation is None
+
+
+def test_block_circulant_matches_naive_check():
+    # linear graphs hold; table graphs and graphs with one edge flipped
+    # mostly fail, and the report must name the same first violation
+    rng = random.Random(606)
+    checked = failed = 0
+    for _ in range(40):
+        q = rng.choice([2, 3, 5])
+        k = rng.randrange(1, {2: 4, 3: 3, 5: 2}[q] + 1)
+        r = rng.randrange(0, 3)
+        if q ** (k + r) > 125:
+            r = 0
+        t = rng.randrange(1, 3)
+        if rng.random() < 0.5:
+            f = rand_linear(rng, q, k, rng.randrange(0, k + 1))
+        else:
+            f = rand_table(rng, q, k, rng.randrange(1, min(q**k, 4) + 1))
+        G = build_graph(f, t, r)
+        graphs = [G]
+        if G.n_vertices > 2:
+            a, b = rng.sample(range(G.n_vertices), 2)
+            rows = list(G.rows)
+            rows[a] ^= 1 << b
+            rows[b] ^= 1 << a
+            graphs.append(FccGraph(q=q, k=k, r=r, t=t, rows=tuple(rows)))
+        for H in graphs:
+            report = verify_block_circulant(H, f)
+            assert report.violation == slow_block_circulant(H)
+            assert report.holds == (report.violation is None)
+            checked += 1
+            failed += not report.holds
+    assert 0 < failed < checked
+
+
+def test_cayley_rows_equal_translates_row_by_row():
+    rng = random.Random(707)
+    for q, k_max in [(2, 4), (3, 3), (5, 2)]:
+        for r in (0, 1, 2):
+            k = min(k_max, 6 - r) if q == 2 else max(1, k_max - r)
+            t = rng.randrange(1, 3)
+            f = rand_linear(rng, q, k, rng.randrange(1, k + 1))
+            n_vertices = q ** (k + r)
+            # linear f: the connection set; table f: the radius-2t ball
+            for diffs in (_connection_set(f, t, r), differences(q, k + r, 1, 2 * t)):
+                rows = _cayley_rows(q, n_vertices, diffs)
+                assert rows == [
+                    _bitmask(translate(q, i, diffs), n_vertices)
+                    for i in range(n_vertices)
+                ]
 
 
 def _decrement_digit(word, q, position):

@@ -5,7 +5,7 @@ from time import monotonic
 
 import pytest
 
-from fcclib import BudgetExceededError, max_independent_set
+from fcclib import BudgetExceededError, build_graph, linear_function, max_independent_set
 from helpers import brute_alpha, is_independent, rand_graph
 
 
@@ -97,3 +97,47 @@ def test_unlimited_budget_allowed():
     rows = rand_graph(rng, 10, 0.5)
     res = max_independent_set(rows, node_budget=None)
     assert res.complete and res.size == brute_alpha(rows)
+
+
+def test_edgeless_graph_deeper_than_the_recursion_limit():
+    # every vertex opens one more clique level of the complement
+    res = max_independent_set([0] * 1200)
+    assert res.complete and res.size == 1200
+    assert res.members == tuple(range(1200))
+
+
+def _projection(m):
+    return linear_function(2, [[int(j == i) for j in range(10)] for i in range(m)])
+
+
+# Searches of the r=0 conflict graphs of the first m of 10 bits at node
+# budget 2,000: (size, members as half-open rank runs, nodes) when the
+# search finishes, (best_lower, best_upper) on a budget exit.  The branching
+# order is part of the solver's contract: these pin witnesses, node counts
+# and budget bounds exactly.
+PINNED_SEARCHES = {
+    (3, 1): (256, [(0, 128), (896, 1024)], 256),
+    (3, 2): (128, [(896, 1024)], 182),
+    (3, 3): (128, [(896, 1024)], 128),
+    (6, 1): (128, 256),
+    (6, 2): (32, 64),
+    (6, 3): (16, [(1008, 1024)], 132),
+    (8, 1): (66, 256),
+    (8, 2): (16, 64),
+    (8, 3): (8, [(512, 516), (1020, 1024)], 519),
+}
+
+
+def test_projection_graph_searches_are_pinned():
+    for (m, t), pinned in PINNED_SEARCHES.items():
+        rows = build_graph(_projection(m), t, 0).rows
+        if len(pinned) == 2:
+            with pytest.raises(BudgetExceededError) as info:
+                max_independent_set(rows, node_budget=2_000)
+            assert (info.value.best_lower, info.value.best_upper) == pinned
+            continue
+        size, runs, nodes = pinned
+        res = max_independent_set(rows, node_budget=2_000)
+        assert res.complete
+        assert (res.size, res.nodes) == (size, nodes)
+        assert res.members == tuple(v for lo, hi in runs for v in range(lo, hi))
