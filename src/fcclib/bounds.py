@@ -18,9 +18,8 @@ from .cosets import select_subspace_representatives
 from .distance import (
     DEFAULT_MAX_ORDER,
     _check_t,
+    _pairwise_plotkin,
     _refuse_order,
-    binary_plotkin_bound,
-    build_drm,
     build_fdm,
     n_q_exact,
 )
@@ -511,7 +510,7 @@ def bound_report(
         if q != 2:
             raise _NotApplicable("binary alphabets only")
         try:
-            val = binary_plotkin_bound(build_drm(f, t))
+            val = _pairwise_plotkin(f, t)
         except ValueError as exc:
             raise _NotApplicable(str(exc)) from exc
         return val, _ceil_frac(val), "average over all requirement pairs"

@@ -99,18 +99,25 @@ def _check_t(f: FunctionSpec, t: int) -> None:
         raise ValueError(f"2t+1 = {2 * t + 1} exceeds the entry range")
 
 
-def build_drm(f: FunctionSpec, t: int) -> DistanceMatrix:
-    """Message-pairwise required-distance matrix of order q^k.
-
-    Entry (i, j) is [2t+1 - d_H(u_i, u_j)]^+ when f(u_i) != f(u_j) and 0
-    otherwise, with rows and columns in canonical rank order.
-    """
+def _pairwise_order(f: FunctionSpec, t: int) -> int:
+    """q^k, the order of the message-pairwise matrix, once t and the order
+    pass their checks."""
     _check_t(f, t)
     size = f.q**f.k
     if size > PAIRWISE_MATRIX_LIMIT:
         raise ValueError(
             f"q^k = {size} exceeds the pairwise-matrix limit {PAIRWISE_MATRIX_LIMIT}"
         )
+    return size
+
+
+def build_drm(f: FunctionSpec, t: int) -> DistanceMatrix:
+    """Message-pairwise required-distance matrix of order q^k.
+
+    Entry (i, j) is [2t+1 - d_H(u_i, u_j)]^+ when f(u_i) != f(u_j) and 0
+    otherwise, with rows and columns in canonical rank order.
+    """
+    size = _pairwise_order(f, t)
     cls = coset_decomposition(f).class_of
     need = 2 * t + 1
     # Only messages within distance 2t of u_i can need a gap: row i is filled
@@ -136,8 +143,10 @@ def build_fdm(f: FunctionSpec, t: int) -> DistanceMatrix:
     Hamming distance between the classes of image values a and b; labels are
     the image values in first-appearance order.  Row a, the class-wise maximum
     of the pairwise rows, is read off the radius-2t balls around class a, one
-    weight shell at a time, nearest first, so an entry is final once set and
-    a row with every entry set starts no more walks.  For linear f one member
+    weight shell at a time, nearest first, so an entry is final once set.
+    Each pair is owned by its smaller class (the lower index on a tie), and a
+    class walks only while it owns an unset pair: a class farther than 2t
+    from the others keeps no larger class walking.  For linear f one member
     u per class starts a walk (as v runs over class b, v - u runs over the
     coset b - a whatever u is), at up to |Im(f)| * V(k, 2t) translates; table
     f walks from every message, at up to q^k * V(k, 2t).  Beyond the class
@@ -149,7 +158,10 @@ def build_fdm(f: FunctionSpec, t: int) -> DistanceMatrix:
     m = len(dec)
     starts = [c[0] for c in dec.classes] if f.mode == "linear" else range(f.q**f.k)
     rows = [bytearray(m) for _ in dec.labels]
-    unset = [m - 1] * m  # off-diagonal entries of each row still 0
+    pos = [0] * m  # pairs are owned by the class earlier in this order
+    for p, a in enumerate(sorted(range(m), key=lambda a: (len(dec.classes[a]), a))):
+        pos[a] = p
+    unset = [m - 1 - p for p in pos]  # owned pairs of each row still 0
     for w in range(1, min(2 * t, f.k) + 1):
         if not any(unset):
             break
@@ -163,8 +175,7 @@ def build_fdm(f: FunctionSpec, t: int) -> DistanceMatrix:
                 b = cls[j]
                 if not row[b] and b != a:
                     row[b] = rows[b][a] = gap
-                    unset[a] -= 1
-                    unset[b] -= 1
+                    unset[a if pos[a] < pos[b] else b] -= 1
     return DistanceMatrix(rows=tuple(bytes(r) for r in rows), labels=dec.labels)
 
 
@@ -296,8 +307,33 @@ def binary_plotkin_bound(D: DistanceMatrix) -> Fraction:
     above-diagonal entries for even order M, with M^2 - 1 replacing M^2 when
     M is odd.  The integer form is the ceiling of the returned rational."""
     m = D.order
+    return _plotkin(sum(sum(D[i][i + 1 :]) for i in range(m - 1)), m)
+
+
+def _plotkin(total: int, m: int) -> Fraction:
     if m < 2:
         return Fraction(0)
-    total = sum(sum(D[i][i + 1 :]) for i in range(m - 1))
     denom = m * m if m % 2 == 0 else m * m - 1
     return Fraction(4 * total, denom)
+
+
+def _pairwise_plotkin(f: FunctionSpec, t: int) -> Fraction:
+    """binary_plotkin_bound(build_drm(f, t)), read off the weight shells
+    without the matrix: the above-diagonal sum is half of
+    sum_w c_w * (2t+1 - w), c_w the ordered pairs (u, u + z) with wt(z) = w
+    in different classes.  Table f walks each shell from every message; for
+    linear f, c_w is q^k times the shell's members outside the zero class.
+    Raises build_drm's ValueErrors."""
+    size = _pairwise_order(f, t)
+    cls = coset_decomposition(f).class_of
+    starts = [0] if f.mode == "linear" else range(size)
+    total = 0
+    for w in range(1, min(2 * t, f.k) + 1):
+        shell = differences(f.q, f.k, w, w)
+        crossing = sum(
+            cls[j] != cls[i] for i in starts for j in translate(f.q, i, shell)
+        )
+        total += crossing * (2 * t + 1 - w)
+    if f.mode == "linear":
+        total *= size
+    return _plotkin(total // 2, size)

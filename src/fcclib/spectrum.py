@@ -7,15 +7,24 @@ whole spectrum is the transform of row 0, ``graph.connection_row``.  The
 transform runs in the group ring Z[x]/(x^q - 1), so every step is exact
 integer arithmetic; the connection set is closed under scaling by F_q^*, which
 makes every eigenvalue an integer, and each one is checked to be so.
+
+The eigenvalue redundancy scan needs only the extreme eigenvalues, and those
+split over the message and parity parts of the connection set: it transforms
+the 2t message shells S_w (weight w, outside f's zero class), each of length
+q^k, once, and at each r combines them with q-ary Krawtchouk sums over the
+parity weights, so no length-q^(k+r) row is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import comb
+from operator import mul
 
-from .fields import ENUMERATION_LIMIT
-from .functions import FunctionSpec, _require_linear
+from .fields import ENUMERATION_LIMIT, differences
+from .functions import FunctionSpec, _require_linear, coset_decomposition
 from .graph import FccGraph, connection_row
 
 
@@ -53,9 +62,14 @@ def _row_spectrum(row: list[int], q: int) -> Spectrum:
     if size != len(row):
         raise ValueError(f"row length {len(row)} is not a power of {q}")
     width = len(row).bit_length() + 1
+    top = q * width
+    modulus = (1 << top) - 1
     values = list(row)
     # Transform the leading digit and move it to the end; after n_digits
-    # passes every digit is transformed and back in place.
+    # passes every digit is transformed and back in place.  Shifted sums
+    # (j > 0) fold their bits above 2^top back onto the low ones (x^q = 1);
+    # j = 0 only adds, at most log2(size) bits over all passes.  Entries so
+    # stay below 2^(top + width) instead of growing with every pass.
     part = size // q
     for _ in range(n_digits):
         chunks = [values[s * part : (s + 1) * part] for s in range(q)]
@@ -64,8 +78,9 @@ def _row_spectrum(row: list[int], q: int) -> Spectrum:
             for s in range(1, q):
                 shift = j * s % q * width
                 acc = [a + (b << shift) for a, b in zip(acc, chunks[s])]
+            if j:
+                acc = [(v & modulus) + (v >> top) for v in acc]
             values[j::q] = acc
-    modulus = (1 << q * width) - 1
     mask = (1 << width) - 1
     eigen = []
     for v in values:
@@ -121,22 +136,64 @@ class SpectralBoundResult:
     exhausted: bool
 
 
+def _krawtchouk(q: int, n: int, j: int, x: int) -> int:
+    """The q-ary Krawtchouk value K_j(x; n): the sum of omega^(b.z) over the
+    words z of weight j in F_q^n, for any b of weight x."""
+    return sum(
+        (-1) ** i * (q - 1) ** (j - i) * comb(x, i) * comb(n - x, j - i)
+        for i in range(j + 1)
+    )
+
+
+def _shell_spectra(f: FunctionSpec, t: int) -> set[tuple]:
+    """The distinct tuples (S_1(a), ..., S_W(a)) over the characters a of
+    F_q^k, where S_w(a) is the transform of the shell {z : wt(z) = w, f(z) !=
+    f(0)} and W = min(2t, k): one length-q^k transform per shell."""
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    q, k = f.q, f.k
+    cls = coset_decomposition(f).class_of
+    spectra = []
+    for w in range(1, min(2 * t, k) + 1):
+        row = [0] * q**k
+        for z, _, _ in differences(q, k, w, w):
+            if cls[z] != cls[0]:
+                row[z] = 1
+        spectra.append(_row_spectrum(row, q).eigenvalues)
+    return set(zip(*spectra))
+
+
 def eigenvalue_redundancy_bound(
     f: FunctionSpec, t: int, r_max: int
 ) -> SpectralBoundResult:
     """Lower bound on achievable redundancy: the smallest r <= r_max with
     q^r >= 1 - lambda_max(r)/lambda_min(r); every smaller r is infeasible.
     The scan stops early, as exhausted, at the first r whose connection row
-    is too large to enumerate."""
+    would have more than ``ENUMERATION_LIMIT`` entries.
+
+    The row itself is never built.  The eigenvalue at the character (a, b),
+    a on the message and b on the parity, is
+    q^r [b = 0] - 1 + sum_w S_w(a) * sum_{j <= 2t-w} K_j(wt(b); r):
+    the 2t message shells are transformed once, at length q^k, and each r
+    takes its extremes over their distinct tuples and over wt(b) = 0..r."""
     _require_linear(f, "eigenvalue redundancy bound")
     if r_max < 0:
         raise ValueError("r_max must be >= 0")
     q = f.q
+    shells = None
     for r in range(r_max + 1):
         if q ** (f.k + r) > ENUMERATION_LIMIT:
             return SpectralBoundResult(value=r, exhausted=True)
-        spec = _row_spectrum(connection_row(f, t, r), q)
-        lo, hi = spec.lambda_min, spec.lambda_max
+        # Built once, after the first size check has passed.
+        shells = shells or _shell_spectra(f, t)
+        values = []
+        for x in range(r + 1):  # the weight of b
+            # Shell w pairs with the parity words of weight at most 2t - w.
+            kraw = accumulate(_krawtchouk(q, r, j, x) for j in range(2 * t))
+            weights = list(kraw)[::-1]
+            base = (q**r if x == 0 else 0) - 1
+            values += [base + sum(map(mul, s, weights)) for s in shells]
+        lo, hi = min(values), max(values)
         # An edgeless graph (flat spectrum) makes every vertex set independent.
         if hi == lo or q**r >= 1 - Fraction(hi, lo):
             return SpectralBoundResult(value=r, exhausted=False)

@@ -9,8 +9,17 @@ If a library result and an oracle result disagree, trust the oracle.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
-from fcclib import coset_decomposition, linear_function, table_function
+import fcclib.spectrum
+from fcclib import (
+    SpectralBoundResult,
+    coset_decomposition,
+    linear_function,
+    table_function,
+)
+from fcclib.graph import connection_row
+from fcclib.spectrum import _row_spectrum
 
 
 def all_words(q, n):
@@ -172,6 +181,19 @@ def slow_block_circulant(G):
             if row != expect:
                 return (position, step[x], min(row ^ expect))
     return None
+
+
+def slow_eigenvalue_bound(f, t, r_max):
+    """The eigenvalue redundancy scan on whole connection rows: the spectrum
+    of the length-q^(k+r) row 0 of every conflict graph, r = 0..r_max."""
+    for r in range(r_max + 1):
+        if f.q ** (f.k + r) > fcclib.spectrum.ENUMERATION_LIMIT:
+            return SpectralBoundResult(value=r, exhausted=True)
+        spec = _row_spectrum(connection_row(f, t, r), f.q)
+        lo, hi = spec.lambda_min, spec.lambda_max
+        if hi == lo or f.q**r >= 1 - Fraction(hi, lo):
+            return SpectralBoundResult(value=r, exhausted=False)
+    return SpectralBoundResult(value=r_max + 1, exhausted=True)
 
 
 def rows_from_lists(adj):

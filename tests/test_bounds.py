@@ -6,6 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+import fcclib.distance
+import fcclib.graph
+import fcclib.spectrum
 from fcclib import (
     AqEstimate,
     AqTable,
@@ -14,8 +17,10 @@ from fcclib import (
     a_q_exact,
     a_q_upper,
     bgs_bound,
+    binary_plotkin_bound,
     bound_report,
     bounds,
+    build_drm,
     compare_report,
     fdm_upper_bound,
     linear_function,
@@ -27,10 +32,11 @@ from fcclib import (
     two_t_bound,
     zll_bound,
 )
+from fcclib.distance import _pairwise_plotkin
 from fcclib.fields import differences
 from fcclib.graph import _cayley_rows
 from fcclib.mis import max_independent_set
-from helpers import rand_linear, slow_code_graph, slow_distance
+from helpers import rand_linear, rand_table, slow_code_graph, slow_distance
 
 ENTRY_NAMES = (
     "distance_2t",
@@ -330,7 +336,7 @@ def test_report_structure_ternary_and_table(ex_q3_k3, or_q2_k2):
     assert by_name["linear_averaging"].integer is None
     assert by_name["eigenvalue"].note == "linear functions only"
     assert table.optimal is None
-    assert by_name["pairwise_averaging"].integer is not None  # DRM route still works
+    assert by_name["pairwise_averaging"].integer is not None  # table f averages too
 
 
 def test_linear_averaging_integer_is_clamped_at_zero():
@@ -353,6 +359,61 @@ def test_report_refuses_code_search_before_building_the_fdm(monkeypatch):
     entry = next(e for e in report.entries if e.name == "code_search")
     assert entry.note == "budget: matrix order 64 exceeds the search limit 20"
     assert built == [2]
+
+
+def _bounds_cells():
+    """The benchmark's bound_report cells: proj6 t=1..3, k12 t=1, q3k5 t=1."""
+    proj6 = linear_function(2, [[int(j == i) for j in range(10)] for i in range(6)])
+    k12 = linear_function(2, [[1, 1, 1, 0] * 3, [0, 1, 1, 0] * 3])
+    q3k5 = linear_function(3, [[1, 0, 1, 0, 0], [0, 1, 0, 1, 0]])
+    return [(proj6, 1), (proj6, 2), (proj6, 3), (k12, 1), (q3k5, 1)]
+
+
+def test_pairwise_averaging_equals_the_drm_average():
+    rng = random.Random(20261018)
+    cases = _bounds_cells()
+    while len(cases) < 50:
+        k = rng.randrange(1, 7)
+        if rng.random() < 0.5:
+            f = rand_linear(rng, 2, k, rng.randrange(0, k + 1))
+        else:
+            f = rand_table(rng, 2, k, rng.randrange(1, 2**k + 1))
+        cases.append((f, rng.randrange(1, 4)))
+    for f, t in cases:
+        assert _pairwise_plotkin(f, t) == binary_plotkin_bound(build_drm(f, t))
+    # through the report: proj6 t=3, k12 t=1 and small random cases
+    for f, t in cases[2:4] + [c for c in cases[5:] if c[1] < 3][:12]:
+        report = bound_report(f, t, node_budget=2_000, max_order=6)
+        entry = next(e for e in report.entries if e.name == "pairwise_averaging")
+        assert entry.rational == binary_plotkin_bound(build_drm(f, t))
+    # the matrix's refusals, word for word
+    big = linear_function(2, [(1,) + (0,) * 12])
+    for f, t in ((big, 1), (cases[5][0], 128)):
+        with pytest.raises(ValueError) as want:
+            build_drm(f, t)
+        with pytest.raises(ValueError) as got:
+            _pairwise_plotkin(f, t)
+        assert str(got.value) == str(want.value)
+
+
+def test_report_builds_no_drm_and_no_connection_row(monkeypatch):
+    calls = []
+    for module in (fcclib.distance, bounds, fcclib.graph, fcclib.spectrum):
+        for name in ("build_drm", "connection_row"):
+            real = getattr(module, name, None)
+            if real is not None:
+                wrapped = lambda *a, real=real, name=name: calls.append(name) or real(*a)
+                monkeypatch.setattr(module, name, wrapped)
+    proj6 = _bounds_cells()[1][0]
+    report = bound_report(proj6, 2, node_budget=2_000)
+    assert {e.name for e in report.entries if e.integer is not None} >= {
+        "pairwise_averaging",
+        "eigenvalue",
+    }
+    table = table_function(2, 4, [bin(u).count("1") % 3 for u in range(16)])
+    report = bound_report(table, 1)
+    assert next(e for e in report.entries if e.name == "pairwise_averaging").integer
+    assert calls == []
 
 
 def test_report_on_a_graph_whose_alpha_exceeds_the_recursion_limit():

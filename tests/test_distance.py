@@ -14,6 +14,7 @@ from fcclib import (
     binary_plotkin_bound,
     build_drm,
     build_fdm,
+    function_distance,
     linear_function,
     matrix_from_lists,
     n_q_exact,
@@ -141,6 +142,24 @@ def test_fdm_matches_definition_oracle():
         entries, labels = slow_fdm(f, t)
         assert got.to_lists() == entries
         assert tuple(got.labels) == tuple(labels)
+
+
+def test_fdm_with_a_class_beyond_2t_matches_function_distance():
+    # Class {0}, a class of the weights 1..2t and random classes on the rest:
+    # {0} lies more than 2t from every random class, so its row never fills.
+    rng = random.Random(20261018)
+    for k, t in ((6, 1), (8, 2), (8, 3)):
+        labels = []
+        for u in all_words(2, k):
+            w = sum(u)
+            labels.append(0 if w == 0 else 1 if w <= 2 * t else rng.randrange(2, 6))
+        f = table_function(2, k, labels)
+        D = build_fdm(f, t)
+        for a, la in enumerate(D.labels):
+            for b, lb in enumerate(D.labels):
+                gap = 0 if a == b else 2 * t + 1 - function_distance(f, la, lb)
+                assert D[a][b] == max(gap, 0)
+        assert D[0].count(0) == len(D.labels) - 1  # only class 1 is near {0}
 
 
 def test_constant_function_matrices(const_q2_k3):

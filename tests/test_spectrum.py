@@ -22,7 +22,7 @@ from fcclib import (
     spectrum_of,
 )
 from fcclib.spectrum import connection_row
-from helpers import lists_from_rows, rand_linear
+from helpers import lists_from_rows, rand_linear, slow_eigenvalue_bound
 
 
 def _numpy_eigenvalues(G):
@@ -170,6 +170,32 @@ def test_redundancy_bound_never_exceeds_true_redundancy():
         res = eigenvalue_redundancy_bound(f, t, r_max=true_r)
         assert not res.exhausted
         assert res.value <= true_r
+
+
+def test_redundancy_bound_equals_whole_row_scan(monkeypatch):
+    # The scan reads the message shells and Krawtchouk sums; the helper
+    # transforms every length-q^(k+r) connection row.  Small limits make
+    # some scans stop as exhausted.
+    rng = random.Random(6)
+    cases = [
+        (linear_function(q, [], k=k), t) for q, k in ((2, 3), (3, 2)) for t in (1, 2)
+    ]
+    while len(cases) < 60:
+        q = rng.choice([2, 3, 5])
+        k = rng.randrange(1, {2: 6, 3: 4, 5: 3}[q] + 1)
+        f = rand_linear(rng, q, k, rng.randrange(0, k + 1))
+        cases.append((f, rng.randrange(1, 4)))
+    assert any(f.l == 0 for f, _ in cases)
+    assert any(2 * t >= f.k for f, t in cases)
+    exhausted = 0
+    for f, t in cases:
+        limit = rng.choice([2**12, f.q ** (f.k + rng.randrange(0, 3))])
+        monkeypatch.setattr(fcclib.spectrum, "ENUMERATION_LIMIT", limit)
+        r_max = rng.randrange(0, 7)
+        got = eigenvalue_redundancy_bound(f, t, r_max)
+        assert got == slow_eigenvalue_bound(f, t, r_max), (f, t, r_max, limit)
+        exhausted += got.exhausted
+    assert exhausted
 
 
 def test_row_length_validation():
