@@ -31,8 +31,8 @@ from .fields import (
     differences,
     hamming_ball_size,
     hamming_distance,
-    hamming_weight,
     translate,
+    weights,
 )
 from .functions import (
     FunctionSpec,
@@ -289,11 +289,11 @@ def optimality_check(
 
     # General search: one minimum-weight candidate per class, depth-first
     # with pairwise pruning against the already-chosen prefix.
+    wt = weights(q, k)
     candidates = []
     for ranks in dec.classes:
-        vecs = [msg_index.vector(rank) for rank in ranks]
-        best = min(hamming_weight(v) for v in vecs)
-        candidates.append([v for v in vecs if hamming_weight(v) == best])
+        best = min(map(wt.__getitem__, ranks))
+        candidates.append([msg_index.vector(r) for r in ranks if wt[r] == best])
     order = sorted(range(len(candidates)), key=lambda c: len(candidates[c]))
     chosen: list[tuple[int, ...]] = []
     nodes = 0

@@ -6,7 +6,10 @@ first) are the vector's symbols.  ``VectorIndex`` realises that bijection.
 
 The rank core adds vectors without decoding them: ``translate`` moves one rank
 by a list of sparse differences, and ``increment`` moves a whole set of ranks,
-held as one bitmask, by a unit vector in two masked shifts.
+held as one bitmask, by a unit vector in two masked shifts.  The same
+one-digit-at-a-time recurrence builds the class map of a function
+(``functions.coset_decomposition``) and the table of every rank's Hamming
+weight (``weights``), so no reader decodes the whole space to tuples.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from itertools import combinations, product
 from math import comb
 from operator import mul
 
-#: Hard cap on how many vectors enumerate_vectors will materialise.
+#: Hard cap on how many entries a rank-indexed table or row may hold.
 ENUMERATION_LIMIT = 2**24
 
 FieldVec = tuple[int, ...]
@@ -168,6 +171,19 @@ def translate(q: int, i: int, diffs) -> list[int]:
     return out
 
 
+def weights(q: int, n: int) -> bytes:
+    """Hamming weight of every rank of F_q^n, entry i for the vector of rank i.
+
+    A leading digit d != 0 adds one to the weight of the rank below it, so
+    each new digit place appends q - 1 copies of the table, shifted by one.
+    """
+    table = b"\0"
+    plus_one = bytes(range(1, 256)) + b"\xff"
+    for _ in range(n):
+        table += table.translate(plus_one) * (q - 1)
+    return table
+
+
 def increment_masks(q: int, size: int, place: int) -> tuple[int, int]:
     """Masks (step, wrap) over the ranks below ``size``, a power of q above
     ``place``: the ranks whose digit at ``place`` is below q - 1, and those
@@ -195,38 +211,6 @@ def _bitmask(bits, size: int) -> int:
     for j in bits:
         digits[top - j] = 49  # ord("1")
     return int(digits, 2)
-
-
-def vec_add(q: int, x: FieldVec, y: FieldVec) -> FieldVec:
-    """Symbol-wise sum of ``x`` and ``y`` mod q."""
-    if len(x) != len(y):
-        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
-    return tuple((a + b) % q for a, b in zip(x, y))
-
-
-def vec_sub(q: int, x: FieldVec, y: FieldVec) -> FieldVec:
-    """Symbol-wise difference of ``x`` and ``y`` mod q."""
-    if len(x) != len(y):
-        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
-    return tuple((a - b) % q for a, b in zip(x, y))
-
-
-def vec_scale(q: int, c: int, x: FieldVec) -> FieldVec:
-    """Scalar multiple ``c * x`` mod q."""
-    return tuple((c * s) % q for s in x)
-
-
-def enumerate_vectors(q: int, n: int) -> list[FieldVec]:
-    """All vectors of length ``n`` over F_q in canonical order.
-
-    Refuses to materialise more than ``ENUMERATION_LIMIT`` vectors.
-    """
-    idx = VectorIndex(q, n)
-    if len(idx) > ENUMERATION_LIMIT:
-        raise ValueError(
-            f"q^n = {q}^{n} exceeds the enumeration limit {ENUMERATION_LIMIT}"
-        )
-    return list(idx.all_vectors())
 
 
 def hamming_ball_size(q: int, n: int, m: int) -> int:

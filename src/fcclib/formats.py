@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .bounds import AqEstimate, AqTable, CompareRow
 from .distance import DistanceMatrix, ParityCode, matrix_from_lists
-from .functions import FunctionSpec, linear_function, table_function
+from .functions import FunctionSpec, table_function
 from .graph import FccEncoder, FccGraph
 from .spectrum import Spectrum
 
@@ -100,7 +100,9 @@ def read_function_file(path) -> FunctionSpec:
         for row in rows:
             if len(row) != k:
                 raise ValueError(f"{path}: matrix row {row} does not have length {k}")
-        return linear_function(q, rows, k=k)
+        # Built directly, so an entry outside [0, q) is refused, not reduced.
+        matrix = tuple(map(tuple, rows))
+        return FunctionSpec(q=q, k=k, mode="linear", matrix=matrix)
     if mode == "table":
         size = q**k
         if len(body) != size:

@@ -13,16 +13,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .fields import (
     ENUMERATION_LIMIT,
+    Difference,
     FieldVec,
     PrimeField,
     VectorIndex,
     hamming_distance,
-    hamming_weight,
     matrix_rank,
-    vec_sub,
+    translate,
+    weights,
 )
 
 
@@ -97,6 +99,9 @@ class FunctionSpec:
             raise ValueError(f"expected length {self.k}, got {len(u)}")
         if self.mode == "linear":
             assert self.matrix is not None
+            for s in u:
+                if not 0 <= s < self.q:
+                    raise ValueError(f"symbol {s} out of range for F_{self.q}")
             return tuple(
                 sum(c * s for c, s in zip(row, u)) % self.q for row in self.matrix
             )
@@ -159,30 +164,45 @@ class CosetDecomposition:
 
 @lru_cache(maxsize=128)
 def coset_decomposition(f: FunctionSpec) -> CosetDecomposition:
-    """Group the domain by function value, classes ordered by first appearance."""
-    size = f.q**f.k
+    """Group the domain by function value, classes ordered by first appearance.
+
+    The values of all q^k messages are built in rank form, with no ``eval``
+    per message.  A table f supplies them as its table.  For linear f,
+    appending digit d at position j adds d times column j to the value, so
+    each position maps every value to its q translates by the multiples of
+    that column (the append-a-digit recurrence of ``graph._cayley_rows``).
+    One first-appearance pass then numbers the classes; only the q^l labels
+    are decoded to tuples.
+    """
+    q, k = f.q, f.k
+    size = q**k
     if size > ENUMERATION_LIMIT:
         raise ValueError(f"q^k = {size} exceeds the enumeration limit")
-    labels: list = []
-    classes: list[list[int]] = []
+    if f.mode == "table":
+        values = f.table
+    else:
+        assert f.matrix is not None
+        places = [q ** (f.l - 1 - p) for p in range(f.l)]
+        values = [0]
+        for j in range(k):
+            support = tuple(p for p, row in zip(places, f.matrix) if row[j])
+            column = [row[j] for row in f.matrix if row[j]]
+            steps: list[Difference] = [(0, (), ())]
+            for d in range(1, q):
+                symbols = tuple(d * c % q for c in column)
+                steps.append((sum(map(mul, support, symbols)), support, symbols))
+            values = [x for v in values for x in translate(q, v, steps)]
     seen: dict = {}
-    class_of = [0] * size
-    for rank, u in enumerate(f.index.all_vectors()):
-        value = f.eval(u)
-        idx = seen.get(value)
-        if idx is None:
-            idx = len(labels)
-            seen[value] = idx
-            labels.append(value)
-            classes.append([])
-        classes[idx].append(rank)
-        class_of[rank] = idx
+    class_of = tuple(seen.setdefault(v, len(seen)) for v in values)
+    classes: list[list[int]] = [[] for _ in seen]
+    for rank, c in enumerate(class_of):
+        classes[c].append(rank)
+    if f.mode == "table":
+        labels = tuple(seen)
+    else:
+        labels = tuple(tuple(v // p % q for p in places) for v in seen)
     return CosetDecomposition(
-        q=f.q,
-        k=f.k,
-        labels=tuple(labels),
-        classes=tuple(tuple(c) for c in classes),
-        class_of=tuple(class_of),
+        q=q, k=k, labels=labels, classes=tuple(map(tuple, classes)), class_of=class_of
     )
 
 
@@ -200,11 +220,10 @@ def kernel_weight_distribution(f: FunctionSpec) -> dict[int, int]:
     """Count kernel vectors by Hamming weight (linear mode only)."""
     _require_linear(f, "kernel weight distribution")
     dec = coset_decomposition(f)
-    idx = f.index
+    wt = weights(f.q, f.k)
     counts: dict[int, int] = {}
     for rank in dec.classes[dec.class_of[0]]:
-        w = hamming_weight(idx.vector(rank))
-        counts[w] = counts.get(w, 0) + 1
+        counts[wt[rank]] = counts.get(wt[rank], 0) + 1
     return counts
 
 
@@ -216,50 +235,41 @@ def kernel_weight_sum(f: FunctionSpec) -> int:
 def function_distance(f: FunctionSpec, a, b) -> int:
     """Minimum Hamming distance between the level sets of values ``a`` and ``b``.
 
-    For linear f this is the minimum weight of the class of ``a - b``; for
-    table mode it is a direct minimum over cross pairs.
+    A direct minimum from the members of class a to those of class b.  For
+    linear f one member of class a suffices, as in ``distance.build_fdm``:
+    class b less any member u of class a is the same coset whatever u is.
     """
     dec = coset_decomposition(f)
     ia, ib = dec.index_of(a), dec.index_of(b)
     if ia == ib:
         return 0
     idx = f.index
-    if f.mode == "linear":
-        diff = vec_sub(f.q, a, b)
-        members = dec.classes[dec.index_of(diff)]
-        return min(hamming_weight(idx.vector(r)) for r in members)
-    best = f.k
-    members_b = [idx.vector(r) for r in dec.classes[ib]]
-    for ra in dec.classes[ia]:
-        va = idx.vector(ra)
-        for vb in members_b:
-            d = hamming_distance(va, vb)
-            if d < best:
-                best = d
-                if best == 1:
-                    return 1
-    return best
+    starts = dec.classes[ia][:1] if f.mode == "linear" else dec.classes[ia]
+    us = [idx.vector(r) for r in starts]
+    vs = [idx.vector(r) for r in dec.classes[ib]]
+    return min(hamming_distance(u, v) for u in us for v in vs)
 
 
 def min_weight_representatives(f: FunctionSpec) -> list[FieldVec]:
     """One minimum-weight member per class, in class (label) order.
 
     Ties are broken toward the lowest canonical rank, which makes the
-    selection deterministic.  Linear mode only.
+    selection deterministic.  Weights come from ``fields.weights``; only the
+    chosen members are decoded.  Linear mode only.
     """
     _require_linear(f, "minimum-weight representative selection")
-    dec = coset_decomposition(f)
+    classes = coset_decomposition(f).classes
+    wt = weights(f.q, f.k)
     idx = f.index
-    reps = []
-    for members in dec.classes:
-        best_rank = min(members, key=lambda r: (hamming_weight(idx.vector(r)), r))
-        reps.append(idx.vector(best_rank))
-    return reps
+    return [idx.vector(min(c, key=wt.__getitem__)) for c in classes]
 
 
 def class_min_weights(f: FunctionSpec) -> list[int]:
     """Minimum Hamming weight of each class, in class order (linear mode)."""
-    return [hamming_weight(v) for v in min_weight_representatives(f)]
+    _require_linear(f, "minimum-weight representative selection")
+    classes = coset_decomposition(f).classes
+    wt = weights(f.q, f.k)
+    return [min(map(wt.__getitem__, c)) for c in classes]
 
 
 def count_min_weight_cosets(f: FunctionSpec, i: int) -> int:

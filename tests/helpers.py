@@ -40,6 +40,57 @@ def clip(x):
     return x if x > 0 else 0
 
 
+def slow_coset_decomposition(f):
+    """(labels, classes, class_of) by evaluating f on every message in
+    canonical order, labels in first-appearance order."""
+    seen, classes, class_of = {}, [], []
+    for rank, u in enumerate(all_words(f.q, f.k)):
+        value = f.eval(u)
+        if value not in seen:
+            seen[value] = len(classes)
+            classes.append([])
+        classes[seen[value]].append(rank)
+        class_of.append(seen[value])
+    return tuple(seen), tuple(map(tuple, classes)), tuple(class_of)
+
+
+def slow_kernel_weights(f):
+    """Kernel vectors of a linear f counted by weight, in order of first
+    appearance over ascending ranks."""
+    counts = {}
+    for u in all_words(f.q, f.k):
+        if not any(f.eval(u)):
+            counts[slow_weight(u)] = counts.get(slow_weight(u), 0) + 1
+    return counts
+
+
+def slow_min_weight_representatives(f):
+    """The lowest-ranked member of least weight in each class."""
+    _, classes, _ = slow_coset_decomposition(f)
+    words = all_words(f.q, f.k)
+    return [min((words[r] for r in c), key=slow_weight) for c in classes]
+
+
+def slow_optimality(f, t):
+    """Whether one least-weight member per class can be picked so that every
+    pair of picks demands exactly the FDM entry of its two classes."""
+    entries, labels = slow_fdm(f, t)
+    words = all_words(f.q, f.k)
+    vals = [f.eval(u) for u in words]
+    candidates = []
+    for label in labels:
+        members = [u for u, v in zip(words, vals) if v == label]
+        least = min(map(slow_weight, members))
+        candidates.append([u for u in members if slow_weight(u) == least])
+    return any(
+        all(
+            clip(2 * t + 1 - slow_distance(pick[a], pick[b])) == entries[a][b]
+            for a, b in itertools.combinations(range(len(labels)), 2)
+        )
+        for pick in itertools.product(*candidates)
+    )
+
+
 def slow_drm(f, t):
     """Pairwise requirement matrix straight from its definition."""
     words = all_words(f.q, f.k)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -36,7 +37,7 @@ from fcclib.distance import _pairwise_plotkin
 from fcclib.fields import differences
 from fcclib.graph import _cayley_rows
 from fcclib.mis import max_independent_set
-from helpers import rand_linear, rand_table, slow_code_graph, slow_distance
+from helpers import rand_linear, rand_table, slow_code_graph, slow_distance, slow_optimality
 
 ENTRY_NAMES = (
     "distance_2t",
@@ -209,6 +210,20 @@ def test_optimality_certificates(ex_q2_k4, ex_q3_k3, or_q2_k2):
     # cannot take the subspace shortcut and must enter the budgeted search
     with pytest.raises(BudgetExceededError):
         optimality_check(linear_function(3, [(1, 2)]), 1, node_budget=0)
+
+
+def test_optimality_check_matches_brute_force():
+    rng = random.Random(31)
+    verdicts = Counter()
+    for _ in range(120):
+        q = rng.choice([2, 2, 3])
+        k = rng.randrange(1, 6 if q == 2 else 4)
+        f = rand_linear(rng, q, k, rng.randrange(0, k + 1))
+        t = rng.randrange(1, 3)
+        verdict = optimality_check(f, t)
+        assert verdict == slow_optimality(f, t)
+        verdicts[verdict] += 1
+    assert verdicts[True] and verdicts[False]
 
 
 def test_ball_packing_bounds():

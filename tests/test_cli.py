@@ -85,6 +85,14 @@ def test_function_source_validation(capsys, data_dir):
     assert code == EX_INPUT and "--t is required" in err
 
 
+def test_inline_function_rejects_symbols_outside_the_field(capsys):
+    for rows, q in (("2,1,0", "2"), ("-1,1,0", "2"), ("1,0;0,3", "3")):
+        code, out, err = run(capsys, "drm", f"--matrix={rows}", "--q", q, "--t", "1")
+        assert code == EX_INPUT and "must lie in" in err and not out
+    code, _, _ = run(capsys, "drm", "--matrix", "1,0;0,2", "--q", "3", "--t", "1")
+    assert code == EX_OK
+
+
 def test_bounds_json_report(capsys, data_dir):
     code, payload, _ = run_json(
         capsys, "bounds", "--func", str(data_dir / "ex_q2_k4.func"), "--t", "1",

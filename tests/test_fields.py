@@ -10,17 +10,13 @@ from hypothesis import strategies as st
 
 from fcclib import PrimeField, VectorIndex, hamming_ball_size, hamming_distance, hamming_weight
 from fcclib.fields import (
-    ENUMERATION_LIMIT,
     differences,
-    enumerate_vectors,
     increment,
     increment_masks,
     is_prime,
     matrix_rank,
     translate,
-    vec_add,
-    vec_scale,
-    vec_sub,
+    weights,
 )
 from helpers import all_words, slow_distance, slow_weight
 
@@ -105,28 +101,24 @@ def test_hamming_metrics_match_oracles():
         hamming_distance((0, 1), (0, 1, 0))
 
 
-def test_vector_ops_are_componentwise_mod_q():
+def test_hamming_distance_is_translation_invariant():
     rng = random.Random(11)
     for q in (2, 3, 7):
         for _ in range(50):
             n = rng.randrange(1, 7)
             x = tuple(rng.randrange(q) for _ in range(n))
             y = tuple(rng.randrange(q) for _ in range(n))
-            c = rng.randrange(q)
-            assert vec_add(q, x, y) == tuple((a + b) % q for a, b in zip(x, y))
-            assert vec_sub(q, vec_add(q, x, y), y) == x
-            assert vec_scale(q, c, x) == tuple((c * a) % q for a in x)
-            assert vec_scale(q, 1, x) == x
-            # distance is translation invariant
-            assert hamming_distance(x, y) == hamming_weight(vec_sub(q, x, y))
+            diff = tuple((a - b) % q for a, b in zip(x, y))
+            assert hamming_distance(x, y) == hamming_weight(diff)
 
 
-def test_enumerate_vectors_order_and_limit():
-    assert enumerate_vectors(3, 2) == all_words(3, 2)
-    assert enumerate_vectors(2, 0) == [()]
-    assert 2**25 > ENUMERATION_LIMIT
-    with pytest.raises(ValueError):
-        enumerate_vectors(2, 25)
+def test_weights_match_decoded_ranks():
+    for q, n_max in ((2, 10), (3, 6), (5, 4), (7, 3)):
+        for n in range(n_max + 1):
+            idx = VectorIndex(q, n)
+            table = weights(q, n)
+            assert len(table) == len(idx)
+            assert list(table) == [hamming_weight(idx.vector(i)) for i in range(len(idx))]
 
 
 def test_hamming_ball_size_matches_direct_count():

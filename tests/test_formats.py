@@ -93,6 +93,16 @@ def test_function_file_rejections(tmp_path):
             read_function_file(path)
 
 
+def test_function_file_rejects_symbols_outside_the_field(tmp_path):
+    # Reducing mod q would read "2 1 0" as (0, 1, 0) and write back "0 1 0".
+    for i, text in enumerate(["2 3 1 linear\n2 1 0\n", "2 3 1 linear\n-1 1 0\n",
+                              "3 2 2 linear\n1 0\n0 3\n"]):
+        path = tmp_path / f"range{i}.func"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="must lie in"):
+            read_function_file(path)
+
+
 def test_matrix_csv_round_trip(tmp_path, ex_q2_k4):
     for t in (1, 2):
         D = build_drm(ex_q2_k4, t)

@@ -8,6 +8,7 @@ import pytest
 
 from fcclib import (
     FunctionSpec,
+    VectorIndex,
     build_drm,
     build_fdm,
     classify,
@@ -24,7 +25,17 @@ from fcclib.functions import (
     kernel_weight_sum,
     min_weight_representatives,
 )
-from helpers import all_words, rand_linear, rand_table, slow_distance, slow_weight, subspace_selection_exists
+from helpers import (
+    all_words,
+    rand_linear,
+    rand_table,
+    slow_coset_decomposition,
+    slow_distance,
+    slow_kernel_weights,
+    slow_min_weight_representatives,
+    slow_weight,
+    subspace_selection_exists,
+)
 
 
 def test_eval_linear_known_values(ex_q2_k4):
@@ -53,6 +64,15 @@ def test_eval_matches_matrix_product():
 def test_eval_rejects_wrong_length(ex_q2_k4):
     with pytest.raises(ValueError):
         ex_q2_k4.eval((0, 1))
+
+
+def test_eval_rejects_symbols_outside_the_field(or_q2_k2):
+    f = linear_function(2, [(1, 1, 0)])
+    for u, bad in (((2, 0, 0), 2), ((0, -1, 0), -1)):
+        with pytest.raises(ValueError, match=f"symbol {bad} out of range for F_2"):
+            f.eval(u)
+    with pytest.raises(ValueError, match="symbol 2 out of range for F_2"):
+        or_q2_k2.eval((2, 0))
 
 
 def test_spec_validation():
@@ -119,6 +139,65 @@ def test_coset_decomposition_partitions_domain():
         assert dec.index_of(dec.labels[-1]) == len(dec.labels) - 1
         with pytest.raises(ValueError):
             dec.index_of(object())
+
+
+def test_coset_decomposition_matches_the_eval_loop():
+    rng = random.Random(8)
+    cases = [linear_function(q, [], k=k) for q in (2, 3, 5) for k in (1, 3)]
+    for q, k_max in ((2, 10), (3, 6), (5, 4)):
+        for k in range(1, k_max + 1):
+            cases += [rand_linear(rng, q, k, l) for l in range(k + 1)]
+            cases.append(rand_table(rng, q, k, rng.randrange(1, q**k + 1)))
+            cases.append(table_function(q, k, [rng.randrange(-3, 4) for _ in range(q**k)]))
+    for f in cases:
+        dec = coset_decomposition(f)
+        assert (dec.labels, dec.classes, dec.class_of) == slow_coset_decomposition(f)
+
+
+def test_class_weight_readers_match_slow_references():
+    rng = random.Random(9)
+    for q, k_max in ((2, 8), (3, 5), (5, 3)):
+        for k in range(1, k_max + 1):
+            for l in range(k + 1):
+                f = rand_linear(rng, q, k, l)
+                assert kernel_weight_distribution(f) == slow_kernel_weights(f)
+                reps = min_weight_representatives(f)
+                assert reps == slow_min_weight_representatives(f)
+                assert class_min_weights(f) == [slow_weight(v) for v in reps]
+
+
+def test_class_readers_decode_no_message(monkeypatch):
+    calls = Counter()
+
+    def counted(cls, name):
+        original = getattr(cls, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    for cls, name in ((FunctionSpec, "eval"), (VectorIndex, "rank"), (VectorIndex, "vector")):
+        counted(cls, name)
+    rng = random.Random(10)
+    for q, k in ((2, 8), (3, 5), (5, 3)):
+        for l in range(k + 1):
+            f = rand_linear(rng, q, k, l)
+            coset_decomposition.cache_clear()
+            dec = coset_decomposition(f)
+            assert not calls
+            coset_decomposition.cache_clear()
+            kernel_weight_distribution(f)
+            assert not calls
+            coset_decomposition.cache_clear()
+            min_weight_representatives(f)
+            assert calls == {"vector": len(dec)}
+            calls.clear()
+        table = rand_table(rng, q, k, q)
+        coset_decomposition.cache_clear()
+        coset_decomposition(table)
+        assert not calls
 
 
 def test_bijection_gives_singleton_classes():
