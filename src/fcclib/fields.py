@@ -5,11 +5,12 @@ F_q by their canonical rank: the integer whose base-q digits (most significant
 first) are the vector's symbols.  ``VectorIndex`` realises that bijection.
 
 The rank core adds vectors without decoding them: ``translate`` moves one rank
-by a list of sparse differences, and ``increment`` moves a whole set of ranks,
-held as one bitmask, by a unit vector in two masked shifts.  The same
-one-digit-at-a-time recurrence builds the class map of a function
-(``functions.coset_decomposition``) and the table of every rank's Hamming
-weight (``weights``), so no reader decodes the whole space to tuples.
+by a list of sparse differences, ``increment`` moves a whole set of ranks,
+held as one bitmask, by a unit vector in two masked shifts, and
+``translate_mask`` moves such a set by a sparse difference, one increment at
+a time.  The same one-digit-at-a-time recurrence builds the class map of a
+function (``functions.coset_decomposition``) and the table of every rank's
+Hamming weight (``weights``), so no reader decodes the whole space to tuples.
 """
 
 from __future__ import annotations
@@ -200,6 +201,17 @@ def increment(q: int, bits: int, place: int, masks: tuple[int, int]) -> int:
     permutation in two masked shifts (``masks`` from increment_masks)."""
     step, wrap = masks
     return (bits & step) << place | (bits & wrap) >> (q - 1) * place
+
+
+def translate_mask(q: int, bits: int, diff: Difference, masks) -> int:
+    """The bitmask of ranks ``bits`` translated by the difference ``diff``:
+    one ``increment`` per unit of each symbol on its support.  ``masks`` maps
+    every place of that support to its increment_masks."""
+    _, support, symbols = diff
+    for place, symbol in zip(support, symbols):
+        for _ in range(symbol):
+            bits = increment(q, bits, place, masks[place])
+    return bits
 
 
 def _bitmask(bits, size: int) -> int:

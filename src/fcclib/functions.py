@@ -113,9 +113,10 @@ def linear_function(q: int, rows, k: int | None = None) -> FunctionSpec:
     """Convenience constructor for a linear FunctionSpec.
 
     ``k`` is inferred from the first row; it must be given explicitly for the
-    constant function (no rows).
+    constant function (no rows).  Entries are not reduced mod q: one outside
+    [0, q) raises ValueError.
     """
-    matrix = tuple(tuple(int(s) % q for s in row) for row in rows)
+    matrix = tuple(tuple(int(s) for s in row) for row in rows)
     if matrix:
         k = len(matrix[0])
     elif k is None:

@@ -12,9 +12,12 @@ read off row 0; for table functions row i is read off the radius-2t ball
 around i, filtered by function class.  Either way only row 0 is built point
 by point: every other row is an earlier one translated by a unit vector, one
 digit shift of the whole bit-packed row (``fields.increment``).  The block-
-circulant check applies the same shift to every row and compares.  Decoding
-and the violation search use the translation structure on the message space,
-searching Hamming balls.
+circulant check applies the same shift to every row and compares.  The
+violation search translates bit planes of the class index and the parity
+symbols, one bitmask of message ranks each, by every difference of weight up
+to 2t (``fields.translate_mask``), so it checks all message pairs at that
+difference in O(r log q + log m) whole-mask operations for m classes.
+Decoding searches the radius-t Hamming ball around the received message part.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .fields import (
     increment,
     increment_masks,
     translate,
+    translate_mask,
 )
 from .functions import FunctionSpec, coset_decomposition
 from .mis import DEFAULT_NODE_BUDGET, MisResult, _bits, max_independent_set
@@ -264,26 +268,70 @@ def find_fcc_violation(
     codeword distance), or None when the encoder is a valid code.
 
     Pairs are taken in lexicographic rank order.  Messages more than 2t
-    apart meet the distance on the message part alone, so only the
-    radius-2t ball around each message is searched.
+    apart meet the distance on the message part alone, so only differences
+    z of weight 1..2t matter, and each is checked for all q^k messages at
+    once.  The class index and every parity symbol are bit-sliced into
+    planes, one bitmask of ranks each; translating a plane by z and XOR-ing
+    marks the ranks i whose class or symbol differs from that of i - z.
+    A bit-sliced counter of differing parity positions then gives the ranks
+    in a pair at z that is closer than 2t+1: O(V(k, 2t) * (r log q + log m))
+    whole-mask operations for m classes, no per-pair work.  Both ends of
+    every violating pair join one union mask, so its lowest bit is the
+    smaller message of the first pair; only that message's row is then
+    walked pair by pair.
     """
     q, k = E.f.q, E.f.k
+    size = q**k
     cls = coset_decomposition(E.f).class_of
     need = 2 * E.t + 1
     near = differences(q, k, 1, 2 * E.t)
-    for i in range(q**k):
-        hits = [
-            (j, d)
-            for (_, support, _), j in zip(near, translate(q, i, near))
-            if j > i
-            and cls[j] != cls[i]
-            and (d := len(support) + hamming_distance(E.parity[i], E.parity[j])) < need
+    masks = {q**p: increment_masks(q, size, q**p) for p in range(k)}
+
+    def planes(values) -> list[int]:
+        """Bit b of every rank's value, one bitmask of ranks per b."""
+        top = max(values, default=0).bit_length()
+        return [
+            _bitmask((i for i, v in enumerate(values) if v >> b & 1), size)
+            for b in range(top)
         ]
-        if hits:
-            j, d = min(hits)
-            msg_index = VectorIndex(q, k)
-            return (msg_index.vector(i), msg_index.vector(j), d)
-    return None
+
+    def changed(bit_planes: list[int], z: Difference) -> int:
+        out = 0
+        for plane in bit_planes:
+            out |= plane ^ translate_mask(q, plane, z, masks)
+        return out
+
+    labels = planes(cls)
+    symbols = [planes([word[s] for word in E.parity]) for s in range(E.r)]
+    union = 0
+    for z in near:
+        cross = changed(labels, z)
+        if not cross:
+            continue
+        # at_least[c]: ranks in ``cross`` whose parity differs from that of
+        # their partner in at least c positions, for c up to what z needs.
+        at_least = [cross] + [0] * (need - len(z[1]))
+        for position in symbols:
+            differ = changed(position, z)
+            for c in range(len(at_least) - 1, 0, -1):
+                at_least[c] |= at_least[c - 1] & differ
+            if at_least[-1] == cross:
+                break
+        union |= cross ^ at_least[-1]
+        if union & 1:
+            break  # no pair can start below message 0
+    if not union:
+        return None
+    i = (union & -union).bit_length() - 1
+    j, d = min(
+        (j, d)
+        for (_, support, _), j in zip(near, translate(q, i, near))
+        if j > i
+        and cls[j] != cls[i]
+        and (d := len(support) + hamming_distance(E.parity[i], E.parity[j])) < need
+    )
+    msg_index = VectorIndex(q, k)
+    return (msg_index.vector(i), msg_index.vector(j), d)
 
 
 def verify_fcc(E: FccEncoder) -> bool:

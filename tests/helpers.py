@@ -18,6 +18,7 @@ from fcclib import (
     linear_function,
     table_function,
 )
+from fcclib.fields import differences, translate
 from fcclib.graph import connection_row
 from fcclib.spectrum import _row_spectrum
 
@@ -211,6 +212,30 @@ def brute_violation(E):
                 d = slow_distance(u + E.parity[i], words[j] + E.parity[j])
                 if d < 2 * E.t + 1:
                     return (u, words[j], d)
+    return None
+
+
+def slow_violation(E):
+    """The first violating pair as the message-by-message ball walk finds it:
+    for each message i in rank order, every j > i in the radius-2t ball
+    around i, one codeword distance per pair; (u_i, u_j, distance) or None.
+    """
+    q, k = E.q, E.k
+    cls = coset_decomposition(E.f).class_of
+    need = 2 * E.t + 1
+    near = differences(q, k, 1, 2 * E.t)
+    for i in range(q**k):
+        hits = [
+            (j, d)
+            for (_, support, _), j in zip(near, translate(q, i, near))
+            if j > i
+            and cls[j] != cls[i]
+            and (d := len(support) + slow_distance(E.parity[i], E.parity[j])) < need
+        ]
+        if hits:
+            j, d = min(hits)
+            words = all_words(q, k)
+            return (words[i], words[j], d)
     return None
 
 

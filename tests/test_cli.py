@@ -9,7 +9,7 @@ import fcclib.graph
 from fcclib import __version__, build_drm, build_fdm, linear_function, n_q_exact
 from fcclib.cli import EX_BUDGET, EX_INPUT, EX_NEGATIVE, EX_OK, main
 from fcclib.formats import read_encoder_file, read_matrix_csv, render_function_file
-from helpers import all_words, slow_distance
+from helpers import all_words, brute_violation, slow_distance
 
 
 def run(capsys, *argv):
@@ -312,6 +312,8 @@ def test_verify_detects_mutation(capsys, tmp_path, data_dir, ex_q2_k4):
     u1 = tuple(int(ch) for ch in v["u1"])
     u2 = tuple(int(ch) for ch in v["u2"])
     assert ex_q2_k4.eval(u1) != ex_q2_k4.eval(u2)
+    # the first pair in lexicographic order, as the definition oracle finds it
+    assert (u1, u2, v["distance"]) == brute_violation(read_encoder_file(enc_path, ex_q2_k4))
 
 
 def test_construct_graph_route(capsys, tmp_path, data_dir):

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 from fcclib import PrimeField, VectorIndex, hamming_ball_size, hamming_distance, hamming_weight
 from fcclib.fields import (
+    _bitmask,
     differences,
     increment,
     increment_masks,
     is_prime,
     matrix_rank,
     translate,
+    translate_mask,
     weights,
 )
 from helpers import all_words, slow_distance, slow_weight
@@ -205,3 +207,18 @@ def test_increment_adds_a_unit_vector_to_every_rank():
                     tuple((a + b) % q for a, b in zip(words[i], unit)) for i in members
                 ]
                 assert moved == sum(1 << words.index(s) for s in sums)
+
+
+def test_translate_mask_moves_every_rank_by_the_difference():
+    rng = random.Random(909)
+    for q, n in [(2, 5), (3, 3), (5, 2)]:
+        size = q**n
+        masks = {q**p: increment_masks(q, size, q**p) for p in range(n)}
+        diffs = differences(q, n, 0, n)
+        assert any(max(symbols, default=0) > 1 for _, _, symbols in diffs) == (q > 2)
+        for z in diffs:
+            assert translate_mask(q, 0, z, masks) == 0
+            for _ in range(3):
+                members = [i for i in range(size) if rng.random() < 0.3]
+                moved = _bitmask((j for i in members for j in translate(q, i, [z])), size)
+                assert translate_mask(q, _bitmask(members, size), z, masks) == moved

@@ -91,6 +91,13 @@ def test_spec_validation():
     assert linear_function(2, [], k=3).l == 0
 
 
+def test_linear_function_rejects_unreduced_entries():
+    for q, rows in [(2, [(2, 1, 0)]), (3, [(-1, 1)]), (5, [(1, 0), (0, 5)])]:
+        with pytest.raises(ValueError):
+            linear_function(q, rows)
+    assert linear_function(3, [("2", 1)]).matrix == ((2, 1),)
+
+
 def test_image_size(ex_q2_k4, or_q2_k2, const_q2_k3):
     assert image_size(ex_q2_k4) == 4
     assert image_size(or_q2_k2) == 2

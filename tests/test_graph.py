@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+import fcclib.graph
+
 from fcclib import (
     CodeNotFoundError,
     DecodingFailureError,
@@ -12,10 +14,12 @@ from fcclib import (
     build_fdm,
     build_graph,
     cartesian_bound_graph,
+    coset_decomposition,
     decode,
     extract_fcc,
     find_fcc_violation,
     independence_number,
+    linear_function,
     n_q_exact,
     verify_block_circulant,
     verify_fcc,
@@ -34,8 +38,28 @@ from helpers import (
     slow_adjacency,
     slow_block_circulant,
     slow_distance,
+    slow_violation,
     words_at_distance,
 )
+
+
+def _witness_encoder(f, t):
+    """Valid encoder giving each message the n_q_exact witness word of its
+    class."""
+    res = n_q_exact(build_fdm(f, t), f.q)
+    words = res.witness.words
+    return FccEncoder(
+        f=f, t=t, r=res.n, parity=tuple(words[c] for c in coset_decomposition(f).class_of)
+    )
+
+
+def _corrupt(E, rank, position, shift):
+    """E with one parity symbol of message ``rank`` moved by ``shift``."""
+    parity = list(E.parity)
+    word = list(parity[rank])
+    word[position] = (word[position] + shift) % E.q
+    parity[rank] = tuple(word)
+    return FccEncoder(f=E.f, t=E.t, r=E.r, parity=tuple(parity))
 
 
 def _good_encoder(f, t):
@@ -313,6 +337,63 @@ def test_violation_matches_first_lexicographic_pair():
         assert find_fcc_violation(E) == want
         found.add(want is None)
     assert found == {True, False}
+
+
+# (q, k, t): every field size, k = 1, and 2t >= k among them
+VALID_SHAPES = [
+    (2, 1, 1), (2, 3, 2), (2, 4, 1), (2, 5, 1), (2, 4, 2),
+    (3, 1, 1), (3, 2, 1), (3, 3, 1), (3, 2, 2),
+    (5, 1, 2), (5, 2, 1),
+]
+
+
+def test_violation_matches_ball_walk_on_valid_and_corrupted_encoders():
+    rng = random.Random(4242)
+    late = zero_r = 0
+    for q, k, t in VALID_SHAPES:
+        for linear in (True, False):
+            for _ in range(3):
+                if linear:
+                    l = rng.choice([l for l in range(min(k, 2) + 1) if q**l <= 9])
+                    f = rand_linear(rng, q, k, l)
+                else:
+                    f = rand_table(rng, q, k, rng.randrange(1, min(q**k, 4) + 1))
+                E = _witness_encoder(f, t)
+                assert find_fcc_violation(E) is None
+                zero_r += E.r == 0
+                size = q**k
+                # no parity at all breaks every non-constant f
+                broken = [FccEncoder(f=f, t=t, r=0, parity=((),) * size)]
+                if E.r:
+                    broken += [
+                        _corrupt(E, rank, rng.randrange(E.r), rng.randrange(1, q))
+                        for rank in (rng.randrange(size), size - 1)
+                    ]
+                for bad in broken:
+                    want = slow_violation(bad)
+                    if size <= 64:
+                        assert want == brute_violation(bad)
+                    assert find_fcc_violation(bad) == want
+                    late += want is not None and any(want[0])
+    assert zero_r and late
+
+
+def test_violation_search_walks_no_message_pair(monkeypatch):
+    calls = {"translate": 0, "hamming_distance": 0}
+    for name in calls:
+
+        def counted(*args, real=getattr(fcclib.graph, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(fcclib.graph, name, counted)
+    E = _witness_encoder(linear_function(3, [(1, 0, 2, 1), (0, 1, 1, 2)]), 1)
+    assert find_fcc_violation(E) is None
+    assert calls == {"translate": 0, "hamming_distance": 0}
+    bad = _corrupt(E, 40, 0, 1)
+    assert find_fcc_violation(bad) == slow_violation(bad) is not None
+    assert calls["translate"] == 1
+    assert calls["hamming_distance"] <= len(differences(3, 4, 1, 2))
 
 
 def test_decode_input_validation(ex_q2_k3):
