@@ -23,6 +23,7 @@ Decoding searches the radius-t Hamming ball around the received message part.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import CodeNotFoundError, DecodingFailureError
 from .fields import (
@@ -339,6 +340,12 @@ def verify_fcc(E: FccEncoder) -> bool:
     return find_fcc_violation(E) is None
 
 
+@lru_cache(maxsize=16)
+def _ball(q: int, k: int, t: int) -> tuple[Difference, ...]:
+    """The differences of weight at most t, built once per (q, k, t)."""
+    return tuple(differences(q, k, 0, t))
+
+
 def decode(E: FccEncoder, y: tuple[int, ...]):
     """Function value of the nearest codeword to y, if one lies within radius t.
 
@@ -354,7 +361,7 @@ def decode(E: FccEncoder, y: tuple[int, ...]):
         raise ValueError(f"received word {y} has symbols outside F_{q}")
     head, tail = tuple(y[:k]), tuple(y[k:])
     msg_index = VectorIndex(q, k)
-    ball = differences(q, k, 0, E.t)
+    ball = _ball(q, k, E.t)
     best_d, best_rank = min(
         (len(support) + hamming_distance(E.parity[u], tail), u)
         for (_, support, _), u in zip(ball, translate(q, msg_index.rank(head), ball))

@@ -2,14 +2,17 @@
 
 An independent set in the input graph is a clique in its complement, so the
 solver runs branch-and-bound clique search (greedy-coloring upper bounds,
-candidate sets as arbitrary-precision bitmasks) on the complement.  It holds
-one list of n rows, the input's; a node forms its complement row as
-``(p ^ bit) & ~adj[v]``, and a coloring step keeps the input neighbours of
-the vertex just colored with one AND.  Colors at or below ``best - size``
-can never be branched on, so they are colored but not recorded.  Clique
-levels live on an explicit stack, so no graph is too deep to search.
-Branching order is fixed, so sizes, witnesses, and node counts are
-deterministic.
+candidate sets as arbitrary-precision bitmasks) on the complement.  Vertex v
+sits at bit W-1-v, W = 8*ceil(n/8) (rows are bit-reversed byte-wise once, and
+indexed by ``b = bit_length()``), so the lowest-numbered vertex of a set is
+its top bit: a coloring step is one ``bit_length``, one XOR and one AND on
+the input row, and sets shrink from the top.  A node forms its complement row
+as ``p & ~radj[b]``.  Colors at or below ``best - size`` can never be branched
+on, so they are colored but not recorded; a recorded entry is one int,
+``color << S | b``.  Clique levels live on an explicit stack, so no graph is
+too deep to search.  Branching order is fixed, so sizes, witnesses, and node
+counts are deterministic.  Working set: about n^2/8 bytes of rows and n^2/16
+of the single-bit table ``bit[b]``, 512 plus 256 MiB at 2^16 vertices.
 """
 
 from __future__ import annotations
@@ -41,6 +44,10 @@ class _TargetReached(Exception):
     pass
 
 
+# Byte i with its eight bits in reverse order.
+_REVERSED = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
+
+
 def _bits(mask: int) -> tuple[int, ...]:
     out = []
     while mask:
@@ -68,49 +75,64 @@ def max_independent_set(
     if n == 0:
         return MisResult(size=0, members=(), nodes=0, complete=True)
     full = (1 << n) - 1
-    # Input rows on 0..n-1 without self-loops; complement rows are formed
-    # per node from these.
-    adj = [adjacency[v] & full & ~(1 << v) for v in range(n)]
+    width = (n + 7) // 8
+    top = 8 * width
+    # radj[top - v]: input row of v without self-loop, vertex u at bit top-1-u.
+    radj = [0] * (top + 1)
+    for v in range(n):
+        row = (adjacency[v] & full & ~(1 << v)).to_bytes(width, "little")
+        radj[top - v] = int.from_bytes(row.translate(_REVERSED), "big")
+    bit = [0] + [1 << i for i in range(top)]
+    shift = top.bit_length()
+    low = (1 << shift) - 1
 
-    def coloring(p: int, floor: int) -> list[tuple[int, int]]:
-        """Vertices of p with greedy color numbers above ``floor``, ascending
-        by color.  A color class is a clique of the input graph, so each step
-        keeps the uncolored input neighbours of the vertex just colored."""
-        order = []
+    def coloring(p: int, floor: int) -> list[int]:
+        """Entries ``color << shift | b`` for the vertices of p with greedy
+        color numbers above ``floor``, ascending by color.  A color class is a
+        clique of the input graph, so each step keeps the uncolored input
+        neighbours of the vertex just colored."""
+        rows, single = radj, bit  # fast locals, not closure cells
         color = 0
         uncolored = p
-        while uncolored:
+        while uncolored and color < floor:
             color += 1
             avail = uncolored
             while avail:
-                low = avail & -avail
-                uncolored ^= low
-                v = low.bit_length() - 1
-                avail &= adj[v]
-                if color > floor:
-                    order.append((v, color))
+                b = avail.bit_length()
+                uncolored ^= single[b]
+                avail &= rows[b]
+        order = []
+        append = order.append
+        while uncolored:
+            color += 1
+            key = color << shift
+            avail = uncolored
+            while avail:
+                b = avail.bit_length()
+                uncolored ^= single[b]
+                avail &= rows[b]
+                append(key | b)
         return order
 
-    best = 0
-    best_mask = 0
-    nodes = 0
-    root = coloring(full, 0)
-    root_bound = root[-1][1]
-    # One frame per clique level: [candidates, vertices left to branch on
+    best = best_mask = nodes = 0
+    root_p = full << (top - n)
+    root = coloring(root_p, 0)
+    root_bound = root[-1] >> shift
+    # One frame per clique level: [candidates, entries left to branch on
     # (popped from the highest color down), bit of the vertex that opened
     # the level].  ``mask`` holds the vertices of the open levels.
-    stack = [[full, root, 0]]
+    stack = [[root_p, root, 0]]
     mask = 0
     try:
         while stack:
             frame = stack[-1]
             order = frame[1]
             size = len(stack) - 1
-            if not order or size + order[-1][1] <= best:
+            if not order or size + (order[-1] >> shift) <= best:
                 stack.pop()
                 mask ^= frame[2]
                 continue
-            v = order.pop()[0]
+            b = order.pop() & low
             nodes += 1
             if node_budget is not None and nodes > node_budget:
                 raise BudgetExceededError(
@@ -124,21 +146,20 @@ def max_independent_set(
                     best_lower=best,
                     best_upper=root_bound,
                 )
-            bit = 1 << v
+            vbit = bit[b]
             if size + 1 > best:
                 best = size + 1
-                best_mask = mask | bit
+                best_mask = mask | vbit
                 if target is not None and best >= target:
                     raise _TargetReached
-            p = frame[0] ^ bit
+            p = frame[0] ^ vbit
             frame[0] = p
-            new_p = p & ~adj[v]
+            new_p = p & ~radj[b]
             if new_p:
-                mask |= bit
-                stack.append([new_p, coloring(new_p, best - size - 1), bit])
+                mask |= vbit
+                stack.append([new_p, coloring(new_p, best - size - 1), vbit])
         complete = True
     except _TargetReached:
         complete = False
-    return MisResult(
-        size=best, members=_bits(best_mask), nodes=nodes, complete=complete
-    )
+    members = tuple(top - 1 - i for i in reversed(_bits(best_mask)))
+    return MisResult(size=best, members=members, nodes=nodes, complete=complete)

@@ -4,6 +4,8 @@ Everything here is deliberately naive and independent of the library's own
 algorithms: itertools enumeration instead of rank arithmetic, dense nested
 loops instead of bit tricks, plain recursion instead of branch-and-bound.
 If a library result and an oracle result disagree, trust the oracle.
+The one exception is ``reference_mis``, the solver's own search in plain bit
+order, kept to check that the library's faster kernel explores the same tree.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from fractions import Fraction
 
 import fcclib.spectrum
 from fcclib import (
+    BudgetExceededError,
+    MisResult,
     SpectralBoundResult,
     coset_decomposition,
     linear_function,
@@ -294,6 +298,68 @@ def brute_alpha(rows):
         return max(go(rest), 1 + go(rest & ~rows[v]))
 
     return go((1 << n) - 1)
+
+
+def reference_mis(adjacency, target=None, node_budget=None):
+    """The branch-and-bound search of max_independent_set in plain vertex
+    order: lowest set bit first, one (vertex, color) tuple per ordered
+    vertex.  Same branching order, so the same MisResult (or the same
+    BudgetExceededError bounds) as the library's solver."""
+    n = len(adjacency)
+    if n == 0:
+        return MisResult(size=0, members=(), nodes=0, complete=True)
+    full = (1 << n) - 1
+    adj = [adjacency[v] & full & ~(1 << v) for v in range(n)]
+
+    def coloring(p, floor):
+        order = []
+        color = 0
+        uncolored = p
+        while uncolored:
+            color += 1
+            avail = uncolored
+            while avail:
+                low = avail & -avail
+                uncolored ^= low
+                v = low.bit_length() - 1
+                avail &= adj[v]
+                if color > floor:
+                    order.append((v, color))
+        return order
+
+    best = best_mask = nodes = 0
+    root = coloring(full, 0)
+    root_bound = root[-1][1]
+    stack = [[full, root, 0]]
+    mask = 0
+    while stack:
+        frame = stack[-1]
+        order = frame[1]
+        size = len(stack) - 1
+        if not order or size + order[-1][1] <= best:
+            stack.pop()
+            mask ^= frame[2]
+            continue
+        v = order.pop()[0]
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            raise BudgetExceededError(
+                "budget", best_lower=best, best_upper=root_bound
+            )
+        bit = 1 << v
+        if size + 1 > best:
+            best = size + 1
+            best_mask = mask | bit
+            if target is not None and best >= target:
+                break
+        p = frame[0] ^ bit
+        frame[0] = p
+        new_p = p & ~adj[v]
+        if new_p:
+            mask |= bit
+            stack.append([new_p, coloring(new_p, best - size - 1), bit])
+    members = tuple(v for v in range(n) if best_mask >> v & 1)
+    return MisResult(size=best, members=members, nodes=nodes, complete=not stack)
 
 
 def is_independent(rows, members):

@@ -5,8 +5,16 @@ from time import monotonic
 
 import pytest
 
-from fcclib import BudgetExceededError, build_graph, linear_function, max_independent_set
-from helpers import brute_alpha, is_independent, rand_graph
+from fcclib import (
+    BudgetExceededError,
+    a_q_exact,
+    build_graph,
+    extract_fcc,
+    linear_function,
+    max_independent_set,
+)
+from fcclib.fields import VectorIndex
+from helpers import brute_alpha, is_independent, rand_graph, reference_mis
 
 
 def _hard_graph():
@@ -27,6 +35,37 @@ def test_matches_brute_force_oracle():
         assert res.size == brute_alpha(rows)
         assert len(res.members) == res.size
         assert is_independent(rows, res.members)
+
+
+def _outcome(solver, rows, **kwargs):
+    try:
+        return solver(rows, **kwargs)
+    except BudgetExceededError as exc:
+        return (exc.best_lower, exc.best_upper)
+
+
+def test_matches_the_plain_bit_order_reference():
+    # Every n from 1 to 100 (so every n mod 8), rows carrying self-loops and
+    # stray bits at or above n; exact, target and small-budget searches.
+    rng = random.Random(20261019)
+    for trial in range(400):
+        n = 1 + trial % 100
+        rows = rand_graph(rng, n, rng.choice([0.05, 0.2, 0.5, 0.8]))
+        for v in range(n):
+            if rng.random() < 0.2:
+                rows[v] |= 1 << v
+            if rng.random() < 0.2:
+                rows[v] |= rng.getrandbits(12) << n
+        mode = trial % 4
+        if mode == 0:
+            kwargs = {"node_budget": 400}
+        elif mode == 1:
+            kwargs = {"target": rng.randrange(1, n + 1), "node_budget": 400}
+        else:
+            kwargs = {"node_budget": rng.randrange(1, 51)}
+        assert _outcome(max_independent_set, rows, **kwargs) == _outcome(
+            reference_mis, rows, **kwargs
+        ), (trial, kwargs)
 
 
 def test_trivial_graphs():
@@ -141,3 +180,40 @@ def test_projection_graph_searches_are_pinned():
         assert res.complete
         assert (res.size, res.nodes) == (size, nodes)
         assert res.members == tuple(v for lo, hi in runs for v in range(lo, hi))
+
+
+# The other solver callers, pinned the same way: exact A_q(n, d) values with
+# their witnesses as word ranks, the A_2(10, 5) budget-exit bounds, and the
+# parity ranks (p0 * 3 + p1, one digit per message) of the q3k5 t=1 r=2
+# encoder that extract_fcc finds at node budget 2,000.
+PINNED_AQ = {
+    (2, 7, 3): (0, 13, 22, 27, 39, 42, 49, 60, 67, 78, 85, 88, 100, 105, 114, 127),
+    (2, 8, 4): (0, 27, 45, 54, 78, 85, 99, 120, 135, 156, 170, 177, 201, 210, 228, 255),
+    (2, 9, 5): (0, 47, 213, 346, 435, 492),
+    (3, 5, 4): (0, 49, 97, 140, 200, 240),
+}
+PINNED_AQ_BUDGET_EXIT = ((2, 10, 5), 2_000, (8, 42))
+PINNED_Q3K5_PARITY = (
+    "222333777444888000666111555333777222888000444111555666777222333"
+    "000444888555666111444888000666111555222333777888000444111555666"
+    "333777222000444888555666111777222333666111555222333777444888000"
+    "111555666333777222888000444555666111777222333000444888"
+)
+
+
+def test_a_q_exact_searches_are_pinned():
+    for (q, n, d), ranks in PINNED_AQ.items():
+        est = a_q_exact(q, n, d)
+        assert (est.kind, est.value) == ("exact", len(ranks))
+        index = VectorIndex(q, n)
+        assert tuple(index.rank(w) for w in est.witness) == ranks
+    qnd, budget, bounds = PINNED_AQ_BUDGET_EXIT
+    with pytest.raises(BudgetExceededError) as info:
+        a_q_exact(*qnd, node_budget=budget)
+    assert (info.value.best_lower, info.value.best_upper) == bounds
+
+
+def test_extract_fcc_search_is_pinned():
+    f = linear_function(3, [[1, 0, 1, 0, 0], [0, 1, 0, 1, 0]])
+    enc = extract_fcc(build_graph(f, 1, 2), f, 1, node_budget=2_000)
+    assert "".join(str(3 * a + b) for a, b in enc.parity) == PINNED_Q3K5_PARITY
