@@ -15,14 +15,7 @@ from itertools import combinations
 from time import monotonic
 
 from .cosets import select_subspace_representatives
-from .distance import (
-    DEFAULT_MAX_ORDER,
-    _check_t,
-    _pairwise_plotkin,
-    _refuse_order,
-    build_fdm,
-    n_q_exact,
-)
+from .distance import _fdm_search, _pairwise_plotkin, build_fdm
 from .errors import BudgetExceededError
 from .fields import (
     PrimeField,
@@ -244,16 +237,11 @@ def fdm_upper_bound(
     f: FunctionSpec,
     t: int,
     r_cap: int | None = None,
-    max_order: int = DEFAULT_MAX_ORDER,
     deadline: float | None = None,
 ) -> int:
     """Achievable redundancy: the exact N_q of the function-distance matrix,
-    whose order is checked against ``max_order`` before it is built."""
-    _check_t(f, t)
-    _refuse_order(image_size(f), max_order)
-    result = n_q_exact(
-        build_fdm(f, t), f.q, r_cap=r_cap, max_order=max_order, deadline=deadline
-    )
+    whose order is checked against the search limit before it is built."""
+    result = _fdm_search(f, t, r_cap, deadline)
     if not result.found:
         raise BudgetExceededError(
             f"no parity code found within length cap {result.r_cap}"
@@ -288,7 +276,9 @@ def optimality_check(
             return True
 
     # General search: one minimum-weight candidate per class, depth-first
-    # with pairwise pruning against the already-chosen prefix.
+    # with pairwise pruning against the already-chosen prefix.  An explicit
+    # stack: tried[d] counts the candidates taken so far at depth d, so
+    # len(tried) == len(chosen) + 1 and no depth limit applies.
     wt = weights(q, k)
     candidates = []
     for ranks in dec.classes:
@@ -296,31 +286,32 @@ def optimality_check(
         candidates.append([msg_index.vector(r) for r in ranks if wt[r] == best])
     order = sorted(range(len(candidates)), key=lambda c: len(candidates[c]))
     chosen: list[tuple[int, ...]] = []
+    tried = [0]
     nodes = 0
-
-    def search(depth: int) -> bool:
-        nonlocal nodes
+    while tried:
+        depth = len(chosen)
         if depth == len(order):
             return True
         ci = order[depth]
-        for vec in candidates[ci]:
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetExceededError(
-                    f"representative search exceeded {node_budget} nodes"
-                )
-            if deadline is not None and nodes & 1023 == 0 and monotonic() > deadline:
-                raise BudgetExceededError(
-                    "representative search exceeded the time budget"
-                )
-            if all(agrees(prev, order[d], vec, ci) for d, prev in enumerate(chosen)):
-                chosen.append(vec)
-                if search(depth + 1):
-                    return True
+        i = tried[-1]
+        if i == len(candidates[ci]):
+            tried.pop()
+            if chosen:
                 chosen.pop()
-        return False
-
-    return search(0)
+            continue
+        tried[-1] = i + 1
+        vec = candidates[ci][i]
+        nodes += 1
+        if nodes > node_budget:
+            raise BudgetExceededError(
+                f"representative search exceeded {node_budget} nodes"
+            )
+        if deadline is not None and nodes & 1023 == 0 and monotonic() > deadline:
+            raise BudgetExceededError("representative search exceeded the time budget")
+        if all(agrees(prev, order[d], vec, ci) for d, prev in enumerate(chosen)):
+            chosen.append(vec)
+            tried.append(0)
+    return False
 
 
 def _packing_scan(q: int, k: int, d: int, aq, margin) -> int:
@@ -480,7 +471,6 @@ def bound_report(
     t: int,
     r_max: int = 8,
     node_budget: int | None = DEFAULT_NODE_BUDGET,
-    max_order: int = DEFAULT_MAX_ORDER,
     deadline: float | None = None,
 ) -> BoundReport:
     """Assemble every applicable bound for (f, t), recording per-entry
@@ -532,7 +522,7 @@ def bound_report(
 
     def code_search():
         try:
-            val = fdm_upper_bound(f, t, max_order=max_order, deadline=deadline)
+            val = fdm_upper_bound(f, t, deadline=deadline)
         except ValueError as exc:
             raise _NotApplicable(str(exc)) from exc
         return whole(val, "exact parity-code search on the function-distance matrix")

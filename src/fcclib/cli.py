@@ -1,15 +1,22 @@
 """Command-line front end: every computation behind one `fcc` subcommand.
 
+Each subcommand accepts only the flags its handler reads: --format on drm,
+fdm, bounds, spectrum and compare; --budget-nodes on bounds, alpha and
+construct; --budget-seconds on bounds, alpha, nq and construct.  Any other
+flag is an input error.  One writer emits every result: text outputs (CSV,
+encoder files) open with provenance comments (tool version, command line,
+and the budgets the command accepts), and JSON outputs carry the same data
+under a "meta" member.
+
 Exit codes: 0 = success, 1 = negative result (proved absent / verification
-failed / decoding failed), 2 = input error, 3 = solver budget exceeded.  All
-file outputs carry provenance comments (tool version, command line, budgets);
-JSON outputs carry the same data under a "meta" member.
+failed / decoding failed), 2 = input error, 3 = solver budget exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import shlex
 import sys
 from dataclasses import asdict
@@ -19,15 +26,7 @@ from time import monotonic
 from . import __version__
 from .bounds import bound_report, compare_report
 from .cosets import build_cosetwise_encoder
-from .distance import (
-    DEFAULT_MAX_ORDER,
-    _check_t,
-    _refuse_order,
-    build_drm,
-    build_fdm,
-    matrix_from_lists,
-    n_q_exact,
-)
+from .distance import _fdm_search, build_drm, build_fdm, matrix_from_lists, n_q_exact
 from .errors import BudgetExceededError, CodeNotFoundError, DecodingFailureError
 from .formats import (
     label_text,
@@ -37,12 +36,13 @@ from .formats import (
     read_encoder_file,
     read_function_file,
     read_parity_file,
+    render_bounds_csv,
     render_compare_csv,
     render_encoder_file,
     render_matrix_csv,
     render_spectrum_csv,
 )
-from .functions import FunctionSpec, coset_decomposition, image_size
+from .functions import FunctionSpec, coset_decomposition
 from .graph import (
     FccEncoder,
     build_graph,
@@ -84,44 +84,59 @@ def _required_t(args) -> int:
     return args.t
 
 
+def _deadline(args) -> float | None:
+    """The --budget-seconds deadline on the monotonic clock, if one is set."""
+    seconds = args.budget_seconds
+    if seconds is None:
+        return None
+    if seconds <= 0:
+        raise ValueError("--budget-seconds must be positive")
+    if not math.isfinite(seconds):
+        raise ValueError("--budget-seconds must be finite")
+    return monotonic() + seconds
+
+
 def _budgets(args) -> tuple[int, float | None]:
     if args.budget_nodes <= 0:
         raise ValueError("--budget-nodes must be positive")
-    deadline = None
-    if args.budget_seconds is not None:
-        if args.budget_seconds <= 0:
-            raise ValueError("--budget-seconds must be positive")
-        deadline = monotonic() + args.budget_seconds
-    return args.budget_nodes, deadline
-
-
-def _provenance(args, argv) -> list[str]:
-    seconds = args.budget_seconds if args.budget_seconds is not None else "none"
-    return [
-        f"tool fcc {__version__}",
-        "command fcc " + shlex.join(argv),
-        f"budget-nodes {args.budget_nodes} budget-seconds {seconds}",
-    ]
+    return args.budget_nodes, _deadline(args)
 
 
 def _meta(args, argv) -> dict:
-    return {
-        "tool": f"fcc {__version__}",
-        "command": "fcc " + shlex.join(argv),
-        "budget_nodes": args.budget_nodes,
-        "budget_seconds": args.budget_seconds,
-    }
+    """Tool, command line, and the budget flags the command accepts."""
+    meta = {"tool": f"fcc {__version__}", "command": "fcc " + shlex.join(argv)}
+    for key in ("budget_nodes", "budget_seconds"):
+        if hasattr(args, key):
+            meta[key] = getattr(args, key)
+    return meta
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
+def _provenance(args, argv) -> list[str]:
+    """_meta as comment lines: tool, command, then any budgets on one line."""
+    meta = _meta(args, argv)
+    lines = [f"tool {meta.pop('tool')}", f"command {meta.pop('command')}"]
+    budgets = [
+        f"{key.replace('_', '-')} {'none' if value is None else value}"
+        for key, value in meta.items()
+    ]
+    return lines + [" ".join(budgets)] if budgets else lines
+
+
+def _write(args, argv, payload=None, render=None, to_stdout=False) -> None:
+    """Emit one result to --out, or to stdout without --out or with
+    ``to_stdout``.  ``render`` maps the provenance lines to the command's
+    text form (CSV or an encoder file) and is used unless absent or --format
+    is json; otherwise the result is one JSON object, "meta" and then the
+    payload's members (byte rows as arrays of ints)."""
+    if render is not None and getattr(args, "format", None) != "json":
+        text = render(_provenance(args, argv))
+    else:
+        result = {"meta": _meta(args, argv), **payload}
+        text = json.dumps(result, indent=2, default=list) + "\n"
+    if args.out and not to_stdout:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-
-
-def _emit_json(payload: dict, out: str | None) -> None:
-    _emit(json.dumps(payload, indent=2) + "\n", out)
 
 
 # -- command handlers --------------------------------------------------------
@@ -131,18 +146,13 @@ def _matrix_command(build):
         f = _load_function(args)
         matrix = build(f, _required_t(args))
         labels = [label_text(x) for x in matrix.labels]
-        if (args.format or "csv") == "csv":
-            header = _provenance(args, argv) + ["labels " + " ".join(labels)]
-            _emit(render_matrix_csv(matrix, header), args.out)
-        else:
-            _emit_json(
-                {
-                    "meta": _meta(args, argv),
-                    "labels": labels,
-                    "rows": matrix.to_lists(),
-                },
-                args.out,
-            )
+        header = ["labels " + " ".join(labels)]
+        _write(
+            args,
+            argv,
+            {"labels": labels, "rows": matrix.rows},
+            lambda lines: render_matrix_csv(matrix, lines + header),
+        )
         return EX_OK
 
     return handler
@@ -152,11 +162,11 @@ def cmd_bounds(args, argv) -> int:
     f = _load_function(args)
     t = _required_t(args)
     node_budget, deadline = _budgets(args)
-    r_max = 8 if args.r_max is None else args.r_max
     report = bound_report(
-        f, t, r_max=r_max, node_budget=node_budget, deadline=deadline
+        f, t, r_max=args.r_max, node_budget=node_budget, deadline=deadline
     )
-    entries = [
+    payload = {"descriptor": report.descriptor, "optimal": report.optimal}
+    payload["entries"] = [
         {
             "name": e.name,
             "sense": e.sense,
@@ -166,27 +176,9 @@ def cmd_bounds(args, argv) -> int:
         }
         for e in report.entries
     ]
-    if (args.format or "json") == "json":
-        _emit_json(
-            {
-                "meta": _meta(args, argv),
-                "descriptor": report.descriptor,
-                "optimal": report.optimal,
-                "entries": entries,
-            },
-            args.out,
-        )
-    else:
-        lines = [",".join(("name", "sense", "value", "exact", "note"))]
-        for e in entries:
-            cells = [e["name"], e["sense"], e["value"], e["exact"], e["note"]]
-            lines.append(
-                ",".join("" if c is None else str(c).replace(",", ";") for c in cells)
-            )
-        header = "".join(f"# {h}\n" for h in _provenance(args, argv))
-        _emit(header + "\n".join(lines) + "\n", args.out)
+    _write(args, argv, payload, lambda lines: render_bounds_csv(report, lines))
     # A partial report is still printed, but budget-blocked entries flag the run.
-    if any(e["note"].startswith("budget: ") for e in entries):
+    if any(e.note.startswith("budget: ") for e in report.entries):
         return EX_BUDGET
     return EX_OK
 
@@ -199,16 +191,16 @@ def cmd_alpha(args, argv) -> int:
     node_budget, deadline = _budgets(args)
     G = build_graph(f, t, args.r)
     res = independence_number(G, node_budget=node_budget, deadline=deadline)
-    _emit_json(
+    _write(
+        args,
+        argv,
         {
-            "meta": _meta(args, argv),
             "vertices": G.n_vertices,
             "edges": G.edge_count(),
             "alpha": res.size,
             "witness": sorted(res.members),
             "nodes": res.nodes,
         },
-        args.out,
     )
     return EX_OK
 
@@ -219,7 +211,7 @@ def cmd_nq(args, argv) -> int:
             "provide exactly one source: --func (with a target matrix) or "
             "--matrix with the requirement rows"
         )
-    _, deadline = _budgets(args)
+    deadline = _deadline(args)
     if args.matrix:
         D = matrix_from_lists(parse_inline_rows(args.matrix))
         q = args.q if args.q is not None else 2
@@ -230,27 +222,12 @@ def cmd_nq(args, argv) -> int:
         q = f.q
     res = n_q_exact(D, q, r_cap=args.r_max, deadline=deadline)
     if res.found:
-        assert res.witness is not None
-        _emit_json(
-            {
-                "meta": _meta(args, argv),
-                "found": True,
-                "n": res.n,
-                "witness": [label_text(w) for w in res.witness.words],
-            },
-            args.out,
-        )
+        witness = [label_text(w) for w in res.witness.words]
+        _write(args, argv, {"found": True, "n": res.n, "witness": witness})
         return EX_OK
-    _emit_json(
-        {
-            "meta": _meta(args, argv),
-            "found": False,
-            "n": None,
-            "r_cap": res.r_cap,
-            "reason": f"no code meets the matrix at any length up to {res.r_cap}",
-        },
-        args.out,
-    )
+    reason = f"no code meets the matrix at any length up to {res.r_cap}"
+    payload = {"found": False, "n": None, "r_cap": res.r_cap, "reason": reason}
+    _write(args, argv, payload)
     return EX_NEGATIVE
 
 
@@ -260,13 +237,12 @@ def cmd_spectrum(args, argv) -> int:
     if args.r is None:
         raise ValueError("--r is required: the spectrum is per-redundancy")
     spec = spectrum_of(f, t, args.r)
-    if (args.format or "csv") == "csv":
-        _emit(render_spectrum_csv(spec, _provenance(args, argv)), args.out)
-    else:
-        _emit_json(
-            {"meta": _meta(args, argv), "eigenvalues": list(spec.eigenvalues)},
-            args.out,
-        )
+    _write(
+        args,
+        argv,
+        {"eigenvalues": spec.eigenvalues},
+        lambda lines: render_spectrum_csv(spec, lines),
+    )
     return EX_OK
 
 
@@ -285,16 +261,12 @@ def cmd_construct(args, argv) -> int:
         E = extract_fcc(G, f, t, node_budget=node_budget, deadline=deadline)
         method = f"independent-set search at r={args.r}"
     else:
-        # Refuse an image above the search limit before building its matrix.
-        _check_t(f, t)
-        _refuse_order(image_size(f), DEFAULT_MAX_ORDER)
-        res = n_q_exact(build_fdm(f, t), f.q, r_cap=args.r_max, deadline=deadline)
+        res = _fdm_search(f, t, args.r_max, deadline)
         if not res.found:
             raise CodeNotFoundError(
                 f"no parity code meets the function-distance matrix at any "
                 f"length up to {res.r_cap}; pass --r for a graph search"
             )
-        assert res.witness is not None
         cls = coset_decomposition(f).class_of
         words = res.witness.words
         E = FccEncoder(
@@ -306,22 +278,11 @@ def cmd_construct(args, argv) -> int:
         method = "minimum-length parity search on the function-distance matrix"
     violation = find_fcc_violation(E)
     assert violation is None, f"constructed encoder fails verification: {violation}"
-    text = render_encoder_file(
-        E, header_lines=_provenance(args, argv) + [f"method {method}"]
-    )
-    _emit(text, args.out)
+    method_line = [f"method {method}"]
+    _write(args, argv, render=lambda lines: render_encoder_file(E, lines + method_line))
     if args.out:
-        _emit_json(
-            {
-                "meta": _meta(args, argv),
-                "r": E.r,
-                "t": t,
-                "verified": True,
-                "method": method,
-                "encoder": args.out,
-            },
-            None,
-        )
+        summary = {"r": E.r, "t": t, "verified": True, "method": method}
+        _write(args, argv, {**summary, "encoder": args.out}, to_stdout=True)
     return EX_OK
 
 
@@ -330,14 +291,13 @@ def cmd_verify(args, argv) -> int:
     E = read_encoder_file(args.encoder, f)
     violation = find_fcc_violation(E)
     if violation is None:
-        _emit_json(
-            {"meta": _meta(args, argv), "ok": True, "r": E.r, "t": E.t}, args.out
-        )
+        _write(args, argv, {"ok": True, "r": E.r, "t": E.t})
         return EX_OK
     u1, u2, d = violation
-    _emit_json(
+    _write(
+        args,
+        argv,
         {
-            "meta": _meta(args, argv),
             "ok": False,
             "violation": {
                 "u1": label_text(u1),
@@ -346,7 +306,6 @@ def cmd_verify(args, argv) -> int:
                 "required": 2 * E.t + 1,
             },
         },
-        args.out,
     )
     return EX_NEGATIVE
 
@@ -355,7 +314,7 @@ def cmd_decode(args, argv) -> int:
     f = _load_function(args)
     E = read_encoder_file(args.encoder, f)
     label = graph_decode(E, parse_digit_word(args.word.strip(), f.q))
-    _emit_json({"meta": _meta(args, argv), "label": label_text(label)}, args.out)
+    _write(args, argv, {"label": label_text(label)})
     return EX_OK
 
 
@@ -371,23 +330,14 @@ def cmd_compare(args, argv) -> int:
     q = args.q if args.q is not None else 2
     table = read_aq_table(args.aq_table) if args.aq_table else None
     rows = compare_report(q, args.d, k_range, table)
-    if (args.format or "csv") == "csv":
-        _emit(
-            render_compare_csv(
-                rows,
-                header_lines=_provenance(args, argv),
-                include_table_columns=table is not None,
-            ),
-            args.out,
-        )
-    else:
-        _emit_json(
-            {
-                "meta": _meta(args, argv),
-                "rows": [asdict(row) for row in rows],
-            },
-            args.out,
-        )
+    _write(
+        args,
+        argv,
+        {"rows": [asdict(row) for row in rows]},
+        lambda lines: render_compare_csv(
+            rows, header_lines=lines, include_table_columns=table is not None
+        ),
+    )
     return EX_OK
 
 
@@ -408,11 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.set_defaults(handler=handler)
         p.add_argument("--out", metavar="PATH", help="write output here, not stdout")
-        p.add_argument("--format", choices=("csv", "json"))
-        p.add_argument(
-            "--budget-nodes", type=int, metavar="N", default=DEFAULT_NODE_BUDGET
-        )
-        p.add_argument("--budget-seconds", type=float, metavar="S")
         if func_source:
             p.add_argument("--func", metavar="PATH", help="function file")
             p.add_argument(
@@ -423,21 +368,39 @@ def build_parser() -> argparse.ArgumentParser:
             )
         return p
 
+    def formats(p, default: str) -> None:
+        p.add_argument("--format", choices=("csv", "json"), default=default)
+
+    def budgets(p, nodes: bool = True) -> None:
+        if nodes:
+            p.add_argument(
+                "--budget-nodes", type=int, metavar="N", default=DEFAULT_NODE_BUDGET
+            )
+        p.add_argument("--budget-seconds", type=float, metavar="S")
+
     p = add("drm", _matrix_command(build_drm), "message-pairwise distance requirements")
+    formats(p, "csv")
     p.add_argument("--t", type=int)
 
     p = add("fdm", _matrix_command(build_fdm), "function-distance requirements")
+    formats(p, "csv")
     p.add_argument("--t", type=int)
 
     p = add("bounds", cmd_bounds, "every applicable redundancy bound for (f, t)")
+    formats(p, "json")
+    budgets(p)
     p.add_argument("--t", type=int)
-    p.add_argument("--r-max", type=int, help="eigenvalue-bound scan cap (default 8)")
+    p.add_argument(
+        "--r-max", type=int, default=8, help="eigenvalue-bound scan cap (default 8)"
+    )
 
     p = add("alpha", cmd_alpha, "exact independence number of the conflict graph")
+    budgets(p)
     p.add_argument("--t", type=int)
     p.add_argument("--r", type=int, help="redundancy of the graph")
 
     p = add("nq", cmd_nq, "minimum parity length meeting a requirement matrix")
+    budgets(p, nodes=False)
     p.add_argument(
         "target",
         nargs="?",
@@ -449,10 +412,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-max", type=int, help="length cap (default 12 binary, else 8)")
 
     p = add("spectrum", cmd_spectrum, "graph eigenvalues in index-rank order")
+    formats(p, "csv")
     p.add_argument("--t", type=int)
     p.add_argument("--r", type=int, help="redundancy of the graph")
 
     p = add("construct", cmd_construct, "build and verify an encoder")
+    budgets(p)
     p.add_argument("--t", type=int)
     p.add_argument("--r", type=int, help="force a graph search at this redundancy")
     p.add_argument("--r-max", type=int, help="length cap for the parity search")
@@ -468,6 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("word", help="received word as a digit string of length k+r")
 
     p = add("compare", cmd_compare, "per-k bound comparison sweep", func_source=False)
+    formats(p, "csv")
     p.add_argument("--q", type=int, help="field size (default 2)")
     p.add_argument("--d", type=int, help="minimum distance 2t+1")
     p.add_argument("--k-range", metavar="A:B", help="message lengths, inclusive")

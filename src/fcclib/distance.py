@@ -27,13 +27,13 @@ from .fields import (
     hamming_distance,
     translate,
 )
-from .functions import FunctionSpec, coset_decomposition
+from .functions import FunctionSpec, coset_decomposition, image_size
 
 PAIRWISE_MATRIX_LIMIT = 4096
 """Largest q^k for which the full message-pairwise matrix is built."""
 
 DEFAULT_MAX_ORDER = 20
-"""Largest matrix order accepted by the exact N_q search by default."""
+"""Largest matrix order accepted by the exact N_q search."""
 
 
 @dataclass(frozen=True)
@@ -227,10 +227,11 @@ class NqSearchResult:
     r_cap: int
 
 
-def _refuse_order(order: int, max_order: int) -> None:
-    if order > max_order:
+def _refuse_order(order: int) -> None:
+    """Refuse a matrix order above DEFAULT_MAX_ORDER (read at call time)."""
+    if order > DEFAULT_MAX_ORDER:
         raise BudgetExceededError(
-            f"matrix order {order} exceeds the search limit {max_order}"
+            f"matrix order {order} exceeds the search limit {DEFAULT_MAX_ORDER}"
         )
 
 
@@ -277,7 +278,6 @@ def n_q_exact(
     D: DistanceMatrix,
     q: int,
     r_cap: int | None = None,
-    max_order: int = DEFAULT_MAX_ORDER,
     deadline: float | None = None,
 ) -> NqSearchResult:
     """Smallest word length admitting a code that meets D, with a witness.
@@ -286,20 +286,31 @@ def n_q_exact(
     satisfy it), so the first success is minimal; each row's admissible words
     are a bitmask of ranks, tried lowest first.  Exhausting r_cap yields a
     ``found=False`` result; a non-prime q or an empty D raises ValueError, an
-    order above ``max_order`` or running past ``deadline`` BudgetExceededError.
+    order above DEFAULT_MAX_ORDER or running past ``deadline``
+    BudgetExceededError.
     """
     PrimeField(q)
     if D.order == 0:
         raise ValueError("the requirement matrix is empty")
     if r_cap is None:
         r_cap = 12 if q == 2 else 8
-    _refuse_order(D.order, max_order)
+    _refuse_order(D.order)
     for r in range(D.max_entry(), r_cap + 1):
         witness = _search_at_length(D, q, r, deadline=deadline)
         if witness is not None:
             assert verify_d_code(witness, D)
             return NqSearchResult(found=True, n=r, witness=witness, r_cap=r_cap)
     return NqSearchResult(found=False, n=None, witness=None, r_cap=r_cap)
+
+
+def _fdm_search(
+    f: FunctionSpec, t: int, r_cap: int | None, deadline: float | None
+) -> NqSearchResult:
+    """n_q_exact on build_fdm(f, t); an image above the search limit is
+    refused before the matrix is built."""
+    _check_t(f, t)
+    _refuse_order(image_size(f))
+    return n_q_exact(build_fdm(f, t), f.q, r_cap=r_cap, deadline=deadline)
 
 
 def binary_plotkin_bound(D: DistanceMatrix) -> Fraction:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .bounds import AqEstimate, AqTable, CompareRow
+from .bounds import AqEstimate, AqTable, BoundReport, CompareRow
 from .distance import DistanceMatrix, ParityCode, matrix_from_lists
 from .functions import FunctionSpec, table_function
 from .graph import FccEncoder, FccGraph
@@ -256,6 +256,20 @@ def render_compare_csv(
     for row in rows:
         cells = [getattr(row, col) for col in cols]
         lines.append(",".join("" if c is None else str(c) for c in cells))
+    return _comment_block(header_lines) + "\n".join(lines) + "\n"
+
+
+# -- bound reports -----------------------------------------------------------
+
+def render_bounds_csv(report: BoundReport, header_lines=()) -> str:
+    """CSV of a report's entries: name, sense, integer value, exact rational
+    and note, empty where absent; commas inside a cell become ';'."""
+    lines = ["name,sense,value,exact,note"]
+    for e in report.entries:
+        cells = [e.name, e.sense, e.integer, e.rational, e.note]
+        lines.append(
+            ",".join("" if c is None else str(c).replace(",", ";") for c in cells)
+        )
     return _comment_block(header_lines) + "\n".join(lines) + "\n"
 
 

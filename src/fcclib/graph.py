@@ -166,9 +166,20 @@ def connection_row(f: FunctionSpec, t: int, r: int) -> list[int]:
     return row
 
 
-def build_graph(
-    f: FunctionSpec, t: int, r: int, limit: int = GRAPH_VERTEX_LIMIT
-) -> FccGraph:
+def _vertex_count(f: FunctionSpec, r: int) -> int:
+    """q^(k+r), the vertex count at redundancy r, once r >= 0 and the count
+    is within GRAPH_VERTEX_LIMIT (read at call time)."""
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    n_vertices = f.q ** (f.k + r)
+    if n_vertices > GRAPH_VERTEX_LIMIT:
+        raise ValueError(
+            f"graph would have {n_vertices} vertices; limit is {GRAPH_VERTEX_LIMIT}"
+        )
+    return n_vertices
+
+
+def build_graph(f: FunctionSpec, t: int, r: int) -> FccGraph:
     """Conflict graph for candidate codes of redundancy r protecting f at radius t.
 
     Edge rule: distinct vertices (u, p), (u', p') are adjacent when u == u',
@@ -177,12 +188,8 @@ def build_graph(
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    if r < 0:
-        raise ValueError("r must be >= 0")
+    n_vertices = _vertex_count(f, r)
     q, k = f.q, f.k
-    n_vertices = q ** (k + r)
-    if n_vertices > limit:
-        raise ValueError(f"graph would have {n_vertices} vertices; limit is {limit}")
     if f.mode == "linear":
         rows = _cayley_rows(q, n_vertices, _connection_set(f, t, r))
         return FccGraph(q=q, k=k, r=r, t=t, rows=tuple(rows))
@@ -414,9 +421,7 @@ def verify_block_circulant(G: FccGraph, f: FunctionSpec) -> BlockCirculantReport
     return BlockCirculantReport(holds=True)
 
 
-def cartesian_bound_graph(
-    f: FunctionSpec, t: int, r: int, limit: int = GRAPH_VERTEX_LIMIT
-) -> FccGraph:
+def cartesian_bound_graph(f: FunctionSpec, t: int, r: int) -> FccGraph:
     """Cartesian product of the parity-free graph with a complete graph on
     the q^r parity words, on the same vertex set as build_graph(f, t, r).
 
@@ -425,10 +430,8 @@ def cartesian_bound_graph(
     the full graph, which yields alpha(full) <= q^r * alpha(parity-free).
     """
     q, k = f.q, f.k
-    n_vertices = q ** (k + r)
-    if n_vertices > limit:
-        raise ValueError(f"graph would have {n_vertices} vertices; limit is {limit}")
-    g0 = build_graph(f, t, 0, limit=limit)
+    n_vertices = _vertex_count(f, r)
+    g0 = build_graph(f, t, 0)
     p_count = q**r
     # Vertex (u, 0)'s neighbours in other messages; (u, p)'s are these + p.
     spread = [

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -226,6 +227,20 @@ def test_optimality_check_matches_brute_force():
     assert verdicts[True] and verdicts[False]
 
 
+def test_optimality_check_needs_no_recursion_depth():
+    # [I_5 | (2,0,0,0,0)^T] over F_3: 243 classes, one search level each
+    rows = [[int(j == i) for j in range(5)] + [2 * (i == 0)] for i in range(5)]
+    f = linear_function(3, rows)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(100)
+    try:
+        assert optimality_check(f, 1) is True
+        report = bound_report(f, 1, node_budget=2_000)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert report.optimal is True
+
+
 def test_ball_packing_bounds():
     assert zll_bound(2, 4, 3) == 3
     assert zll_bound(2, 1, 2) == 1
@@ -376,6 +391,24 @@ def test_report_refuses_code_search_before_building_the_fdm(monkeypatch):
     assert built == [2]
 
 
+def test_fdm_upper_bound_refuses_before_building_the_fdm(monkeypatch):
+    # the code_search row's route: the image size is checked, the matrix
+    # never built; the limit is read when the search is called
+    proj6 = linear_function(2, [[int(j == i) for j in range(10)] for i in range(6)])
+    built = []
+    real = fcclib.distance.build_fdm
+    monkeypatch.setattr(
+        fcclib.distance, "build_fdm", lambda f, t: built.append(t) or real(f, t)
+    )
+    with pytest.raises(BudgetExceededError, match="order 64 exceeds the search limit 20"):
+        fdm_upper_bound(proj6, 2)
+    assert built == []
+    monkeypatch.setattr(fcclib.distance, "DEFAULT_MAX_ORDER", 2)
+    with pytest.raises(BudgetExceededError, match="order 4 exceeds the search limit 2"):
+        fdm_upper_bound(linear_function(2, [(1, 1, 1, 0), (0, 1, 1, 0)]), 1)
+    assert built == []
+
+
 def _bounds_cells():
     """The benchmark's bound_report cells: proj6 t=1..3, k12 t=1, q3k5 t=1."""
     proj6 = linear_function(2, [[int(j == i) for j in range(10)] for i in range(6)])
@@ -384,7 +417,7 @@ def _bounds_cells():
     return [(proj6, 1), (proj6, 2), (proj6, 3), (k12, 1), (q3k5, 1)]
 
 
-def test_pairwise_averaging_equals_the_drm_average():
+def test_pairwise_averaging_equals_the_drm_average(monkeypatch):
     rng = random.Random(20261018)
     cases = _bounds_cells()
     while len(cases) < 50:
@@ -397,8 +430,9 @@ def test_pairwise_averaging_equals_the_drm_average():
     for f, t in cases:
         assert _pairwise_plotkin(f, t) == binary_plotkin_bound(build_drm(f, t))
     # through the report: proj6 t=3, k12 t=1 and small random cases
+    monkeypatch.setattr(fcclib.distance, "DEFAULT_MAX_ORDER", 6)
     for f, t in cases[2:4] + [c for c in cases[5:] if c[1] < 3][:12]:
-        report = bound_report(f, t, node_budget=2_000, max_order=6)
+        report = bound_report(f, t, node_budget=2_000)
         entry = next(e for e in report.entries if e.name == "pairwise_averaging")
         assert entry.rational == binary_plotkin_bound(build_drm(f, t))
     # the matrix's refusals, word for word

@@ -1,14 +1,17 @@
 """Command-line behavior: routes, exit codes, provenance, file outputs."""
 
+import argparse
 import json
 
 import pytest
 
 import fcclib.cli
+import fcclib.distance
 import fcclib.graph
 from fcclib import __version__, build_drm, build_fdm, linear_function, n_q_exact
 from fcclib.cli import EX_BUDGET, EX_INPUT, EX_NEGATIVE, EX_OK, main
 from fcclib.formats import read_encoder_file, read_matrix_csv, render_function_file
+from fcclib.mis import DEFAULT_NODE_BUDGET
 from helpers import all_words, brute_violation, slow_distance
 
 
@@ -41,7 +44,7 @@ def test_drm_csv_round_trip(capsys, tmp_path, data_dir, ex_q2_k4):
     text = out.read_text()
     assert text.startswith(f"# tool fcc {__version__}\n")
     assert "# command fcc drm" in text
-    assert "# budget-nodes" in text
+    assert "# budget-nodes" not in text  # drm runs no budgeted search
     assert "# labels 0000 0001" in text
 
 
@@ -345,8 +348,10 @@ def test_construct_refuses_order_before_building_the_fdm(capsys, monkeypatch, tm
     func = tmp_path / "proj6.func"
     func.write_text(render_function_file(proj6))
     built = []
-    real = fcclib.cli.build_fdm
-    monkeypatch.setattr(fcclib.cli, "build_fdm", lambda f, t: built.append(t) or real(f, t))
+    real = fcclib.distance.build_fdm
+    monkeypatch.setattr(
+        fcclib.distance, "build_fdm", lambda f, t: built.append(t) or real(f, t)
+    )
     code, out, err = run(capsys, "construct", "--func", str(func), "--t", "2")
     assert code == EX_BUDGET and out == ""
     assert "matrix order 64 exceeds the search limit 20" in err
@@ -399,3 +404,95 @@ def test_compare_routes(capsys, tmp_path):
         code, _, err = run(capsys, *bad)
         assert code == EX_INPUT
 
+
+
+FUNCTION_SOURCE = {"--func", "--matrix", "--q"}
+COMMAND_OPTIONS = {
+    "drm": {"--format", "--t"} | FUNCTION_SOURCE,
+    "fdm": {"--format", "--t"} | FUNCTION_SOURCE,
+    "bounds": {"--format", "--budget-nodes", "--budget-seconds", "--t", "--r-max"}
+    | FUNCTION_SOURCE,
+    "alpha": {"--budget-nodes", "--budget-seconds", "--t", "--r"} | FUNCTION_SOURCE,
+    "nq": {"--budget-seconds", "--t", "--r-max"} | FUNCTION_SOURCE,
+    "spectrum": {"--format", "--t", "--r"} | FUNCTION_SOURCE,
+    "construct": {"--budget-nodes", "--budget-seconds", "--t", "--r", "--r-max", "--parity"}
+    | FUNCTION_SOURCE,
+    "verify": set(FUNCTION_SOURCE),
+    "decode": set(FUNCTION_SOURCE),
+    "compare": {"--format", "--q", "--d", "--k-range", "--aq-table"},
+}
+
+
+def test_each_command_accepts_only_the_options_it_reads():
+    parser = fcclib.cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(COMMAND_OPTIONS)
+    slots = 0
+    for name, command in sub.choices.items():
+        options = {
+            action.option_strings[0]
+            for action in command._actions
+            if action.option_strings and not isinstance(action, argparse._HelpAction)
+        }
+        assert options == COMMAND_OPTIONS[name] | {"--out"}, name
+        slots += len(options)
+    assert slots == 67
+
+
+def test_removed_options_are_input_errors(capsys, data_dir):
+    func = str(data_dir / "spectral_q2_k3.func")
+    for argv in (
+        ["alpha", "--func", func, "--t", "1", "--r", "1", "--format", "csv"],
+        ["nq", "--matrix", "0,3;3,0", "--budget-nodes", "5"],
+        ["drm", "--func", func, "--t", "1", "--budget-seconds", "1"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == EX_INPUT and out == "" and "error:" in err, argv
+
+
+def test_non_finite_budget_seconds_is_an_input_error(capsys, data_dir):
+    func = str(data_dir / "spectral_q2_k3.func")
+    for value in ("nan", "inf"):
+        for argv in (
+            ["alpha", "--func", func, "--t", "1", "--r", "1"],
+            ["nq", "--matrix", "0,3;3,0"],
+            ["bounds", "--func", func, "--t", "1"],
+        ):
+            code, out, err = run(capsys, *argv, "--budget-seconds", value)
+            assert code == EX_INPUT and out == "", (argv, value)
+            assert err == "error: --budget-seconds must be finite\n"
+    code, _, err = run(capsys, "nq", "--matrix", "0,3;3,0", "--budget-seconds=-inf")
+    assert code == EX_INPUT and err == "error: --budget-seconds must be positive\n"
+
+
+def test_budget_provenance_only_where_budgets_are_read(capsys, tmp_path, data_dir):
+    func = str(data_dir / "spectral_q2_k3.func")
+    enc = tmp_path / "enc.txt"
+    with_budget = (
+        (["bounds", "--func", func, "--t", "1", "--format", "csv"], None),
+        (["construct", "--func", func, "--t", "1", "--r", "3", "--out", str(enc)], enc),
+    )
+    without = (
+        ["drm", "--func", func, "--t", "1"],
+        ["fdm", "--func", func, "--t", "1"],
+        ["spectrum", "--func", func, "--t", "1", "--r", "1"],
+        ["compare", "--d", "3", "--k-range", "2:3"],
+    )
+    for argv, path in with_budget:
+        code, out, _ = run(capsys, *argv)
+        text = path.read_text() if path else out
+        assert code == EX_OK
+        budgets = f"\n# budget-nodes {DEFAULT_NODE_BUDGET} budget-seconds none\n"
+        assert budgets in text, argv
+    for argv in without:
+        code, out, _ = run(capsys, *argv)
+        assert code == EX_OK and out.startswith("# tool fcc ")
+        assert "# command fcc " in out and "budget" not in out, argv
+    # JSON meta lists the budgets the command accepts, and no others
+    for argv, keys in (
+        (["alpha", "--func", func, "--t", "1", "--r", "1"], {"budget_nodes", "budget_seconds"}),
+        (["nq", "--matrix", "0,3;3,0"], {"budget_seconds"}),
+        (["fdm", "--func", func, "--t", "1", "--format", "json"], set()),
+    ):
+        code, payload, _ = run_json(capsys, *argv)
+        assert set(payload["meta"]) == {"tool", "command"} | keys, argv

@@ -111,13 +111,14 @@ def test_graph_accessors(ex_q2_k3):
     assert G.has_edge(0, 1)
 
 
-def test_graph_validation(ex_q2_k3):
+def test_graph_validation(monkeypatch, ex_q2_k3):
     with pytest.raises(ValueError):
         build_graph(ex_q2_k3, 0, 1)
     with pytest.raises(ValueError):
         build_graph(ex_q2_k3, 1, -1)
+    monkeypatch.setattr(fcclib.graph, "GRAPH_VERTEX_LIMIT", 16)
     with pytest.raises(ValueError):
-        build_graph(ex_q2_k3, 1, 2, limit=16)
+        build_graph(ex_q2_k3, 1, 2)
     with pytest.raises(ValueError):
         FccGraph(q=2, k=3, r=1, t=1, rows=(0,) * 5)
     with pytest.raises(ValueError):
@@ -206,6 +207,24 @@ def test_block_circulant_violation_pinpoints_real_asymmetry(or_q2_k2):
     i_prev = rank[_decrement_digit(words[i], 2, position)]
     j_prev = rank[_decrement_digit(words[j], 2, position)]
     assert G.has_edge(i, j) != G.has_edge(i_prev, j_prev)
+
+
+def test_cartesian_graph_shares_the_vertex_checks(monkeypatch, ex_q2_k3):
+    # a negative redundancy is refused as build_graph refuses it
+    for r in (-1, -4):
+        with pytest.raises(ValueError) as want:
+            build_graph(ex_q2_k3, 1, r)
+        with pytest.raises(ValueError) as got:
+            cartesian_bound_graph(ex_q2_k3, 1, r)
+        assert str(got.value) == str(want.value) == "r must be >= 0"
+    f = linear_function(2, [(1,)])
+    with pytest.raises(ValueError, match="r must be >= 0"):
+        cartesian_bound_graph(f, 1, -1)
+    # the vertex cap is read at call time, word for word
+    monkeypatch.setattr(fcclib.graph, "GRAPH_VERTEX_LIMIT", 16)
+    assert cartesian_bound_graph(ex_q2_k3, 1, 1).n_vertices == 16
+    with pytest.raises(ValueError, match="graph would have 32 vertices; limit is 16"):
+        cartesian_bound_graph(ex_q2_k3, 1, 2)
 
 
 def test_cartesian_graph_is_subgraph_with_valid_alpha_bound():
