@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import compress
 from time import monotonic
 
-from .cosets import select_subspace_representatives
 from .distance import _fdm_search, _pairwise_plotkin, build_fdm
 from .errors import BudgetExceededError
 from .fields import (
@@ -30,7 +29,6 @@ from .fields import (
 from .functions import (
     FunctionSpec,
     _require_linear,
-    classify,
     coset_decomposition,
     image_size,
     kernel_weight_sum,
@@ -262,35 +260,28 @@ def optimality_check(
     q, k = f.q, f.k
     need = 2 * t + 1
     fdm = build_fdm(f, t)
-    msg_index = VectorIndex(q, k)
-    dec = coset_decomposition(f)
+    vector = VectorIndex(q, k).vector
 
-    def agrees(u: tuple[int, ...], a: int, v: tuple[int, ...], b: int) -> bool:
-        """u in class a and v in class b demand exactly the FDM entry (a, b)."""
-        return max(need - hamming_distance(u, v), 0) == fdm[a][b]
-
-    if classify(f).unit_basis_class:
-        sel = select_subspace_representatives(f)
-        reps = zip(sel.members, sel.class_indices)
-        if all(agrees(*x, *y) for x, y in combinations(reps, 2)):
-            return True
-
-    # General search: one minimum-weight candidate per class, depth-first
-    # with pairwise pruning against the already-chosen prefix.  An explicit
-    # stack: tried[d] counts the candidates taken so far at depth d, so
-    # len(tried) == len(chosen) + 1 and no depth limit applies.
+    # Depth-first: one minimum-weight candidate per class (ranks, decoded when
+    # tried), fewest candidates first, checked against the chosen prefix.  A
+    # zero FDM entry puts two classes at least 2t+1 apart, where any two
+    # members agree with it, so only the non-zero entries are compared.  An
+    # explicit stack: tried[d] counts the candidates taken so far at depth d,
+    # so len(tried) == len(chosen) + 1 and no depth limit applies.
     wt = weights(q, k)
     candidates = []
-    for ranks in dec.classes:
+    for ranks in coset_decomposition(f).classes:
         best = min(map(wt.__getitem__, ranks))
-        candidates.append([msg_index.vector(r) for r in ranks if wt[r] == best])
-    order = sorted(range(len(candidates)), key=lambda c: len(candidates[c]))
+        candidates.append([r for r in ranks if wt[r] == best])
+    m = len(candidates)
+    order = sorted(range(m), key=lambda c: len(candidates[c]))
+    depth_of = sorted(range(m), key=order.__getitem__)  # class -> depth
     chosen: list[tuple[int, ...]] = []
     tried = [0]
     nodes = 0
     while tried:
         depth = len(chosen)
-        if depth == len(order):
+        if depth == m:
             return True
         ci = order[depth]
         i = tried[-1]
@@ -300,7 +291,6 @@ def optimality_check(
                 chosen.pop()
             continue
         tried[-1] = i + 1
-        vec = candidates[ci][i]
         nodes += 1
         if nodes > node_budget:
             raise BudgetExceededError(
@@ -308,7 +298,13 @@ def optimality_check(
             )
         if deadline is not None and nodes & 1023 == 0 and monotonic() > deadline:
             raise BudgetExceededError("representative search exceeded the time budget")
-        if all(agrees(prev, order[d], vec, ci) for d, prev in enumerate(chosen)):
+        vec = vector(candidates[ci][i])
+        row = fdm[ci]
+        if all(
+            need - hamming_distance(chosen[depth_of[b]], vec) == row[b]
+            for b in compress(range(m), row)
+            if depth_of[b] < depth
+        ):
             chosen.append(vec)
             tried.append(0)
     return False

@@ -25,7 +25,7 @@ from time import monotonic
 
 from . import __version__
 from .bounds import bound_report, compare_report
-from .cosets import build_cosetwise_encoder
+from .cosets import _class_encoder, build_cosetwise_encoder
 from .distance import _fdm_search, build_drm, build_fdm, matrix_from_lists, n_q_exact
 from .errors import BudgetExceededError, CodeNotFoundError, DecodingFailureError
 from .formats import (
@@ -42,9 +42,8 @@ from .formats import (
     render_matrix_csv,
     render_spectrum_csv,
 )
-from .functions import FunctionSpec, coset_decomposition
+from .functions import FunctionSpec
 from .graph import (
-    FccEncoder,
     build_graph,
     decode as graph_decode,
     extract_fcc,
@@ -267,14 +266,7 @@ def cmd_construct(args, argv) -> int:
                 f"no parity code meets the function-distance matrix at any "
                 f"length up to {res.r_cap}; pass --r for a graph search"
             )
-        cls = coset_decomposition(f).class_of
-        words = res.witness.words
-        E = FccEncoder(
-            f=f,
-            t=t,
-            r=res.n,
-            parity=tuple(words[cls[rank]] for rank in range(f.q**f.k)),
-        )
+        E = _class_encoder(f, t, res.witness)
         method = "minimum-length parity search on the function-distance matrix"
     violation = find_fcc_violation(E)
     assert violation is None, f"constructed encoder fails verification: {violation}"
@@ -458,10 +450,10 @@ def main(argv=None) -> int:
         print(detail, file=sys.stderr)
         return EX_BUDGET
     except CodeNotFoundError as exc:
-        print(json.dumps({"found": False, "reason": str(exc)}))
+        _write(args, raw, {"found": False, "reason": str(exc)}, to_stdout=True)
         return EX_NEGATIVE
     except DecodingFailureError as exc:
-        print(json.dumps({"label": None, "reason": str(exc)}))
+        _write(args, raw, {"label": None, "reason": str(exc)}, to_stdout=True)
         return EX_NEGATIVE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,8 +4,10 @@ For linear functions whose matrix has exactly l distinct non-zero columns,
 unit vectors picked from those columns span a transversal of minimum-weight
 coset representatives.  Messages then inherit the parity word of their
 coset's representative, so a parity set designed for the q^l representatives
-protects the whole space.  Such encoders are ordinary ``FccEncoder`` tables:
-``graph.verify_fcc`` and ``graph.decode`` serve them like any other.
+protects the whole space.  One expander turns a word per class into an
+``FccEncoder`` table; ``fcc construct``'s default route feeds it the words of
+the function-distance search.  ``graph.verify_fcc`` and ``graph.decode``
+serve these encoders like any other.
 """
 
 from __future__ import annotations
@@ -100,13 +102,18 @@ def cosetwise_requirements(f: FunctionSpec, t: int) -> DistanceMatrix:
     """
     sel = select_subspace_representatives(f)
     fdm = build_fdm(f, t)
-    return matrix_from_lists(
-        [
-            [fdm[ci][cj] for cj in sel.class_indices]
-            for ci in sel.class_indices
-        ],
-        labels=sel.truncated,
-    )
+    cls = sel.class_indices
+    rows = tuple(bytes(fdm[a][b] for b in cls) for a in cls)
+    return DistanceMatrix(rows=rows, labels=sel.truncated)
+
+
+def _class_encoder(f: FunctionSpec, t: int, code: ParityCode) -> FccEncoder:
+    """Encoder giving every message its class's word: ``code`` holds one word
+    per class in function-distance-matrix order, and parity[rank] =
+    words[class_of[rank]]."""
+    words = code.words
+    parity = tuple(words[a] for a in coset_decomposition(f).class_of)
+    return FccEncoder(f=f, t=t, r=code.r, parity=parity)
 
 
 def build_cosetwise_encoder(
@@ -119,7 +126,7 @@ def build_cosetwise_encoder(
     a violating parity set is rejected with CodeNotFoundError.
     """
     sel = select_subspace_representatives(f)
-    q, k, l = f.q, f.k, f.l
+    q, l = f.q, f.l
     if parity_source.q != q:
         raise ValueError("parity code and function disagree on the field size")
     if len(parity_source) != q**l:
@@ -127,19 +134,13 @@ def build_cosetwise_encoder(
             f"need {q ** l} parity words (one per function value), "
             f"got {len(parity_source)}"
         )
-    required = cosetwise_requirements(f, t)
-    if not verify_d_code(parity_source, required):
+    by_class = sorted(zip(sel.class_indices, parity_source.words))
+    code = ParityCode(q=q, r=parity_source.r, words=tuple(w for _, w in by_class))
+    if not verify_d_code(code, build_fdm(f, t)):
         raise CodeNotFoundError(
             "parity words violate the function-distance requirements"
         )
-    parity_by_class = {
-        ci: parity_source.words[i] for i, ci in enumerate(sel.class_indices)
-    }
-    dec = coset_decomposition(f)
-    parity = tuple(
-        parity_by_class[dec.class_of[rank]] for rank in range(q**k)
-    )
-    return FccEncoder(f=f, t=t, r=parity_source.r, parity=parity)
+    return _class_encoder(f, t, code)
 
 
 def reduced_problem(f: FunctionSpec, t: int) -> DistanceMatrix:

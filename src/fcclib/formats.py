@@ -47,6 +47,11 @@ def parse_digit_word(text: str, q: int) -> tuple[int, ...]:
     return tuple(int(ch) for ch in text)
 
 
+def _parse_parity_word(text: str, q: int) -> tuple[int, ...]:
+    """A file's parity word: a digit string, or '-' for the empty word."""
+    return () if text == "-" else parse_digit_word(text, q)
+
+
 def parse_inline_rows(text: str) -> list[list[int]]:
     """Parse an inline matrix: rows split on ';', entries split on commas or
     whitespace; a row with neither separator is read digit by digit."""
@@ -154,17 +159,18 @@ def render_matrix_csv(matrix: DistanceMatrix, header_lines=()) -> str:
 # -- parity codes ------------------------------------------------------------
 
 def read_parity_file(path, q: int) -> ParityCode:
-    """Parse one parity word per line, each a digit string over F_q."""
+    """Parse one parity word per line, each a digit string over F_q ('-' for
+    the empty word)."""
     lines = _data_lines(Path(path).read_text())
     if not lines:
         raise ValueError(f"{path}: empty parity file")
-    words = tuple(parse_digit_word(line, q) for line in lines)
+    words = tuple(_parse_parity_word(line, q) for line in lines)
     return ParityCode(q=q, r=len(words[0]), words=words)
 
 
 def render_parity_file(code: ParityCode, header_lines=()) -> str:
     _require_digit_field(code.q)
-    body = "\n".join("".join(str(d) for d in w) for w in code.words)
+    body = "\n".join(map(label_text, code.words))
     return _comment_block(header_lines) + body + "\n"
 
 
@@ -213,7 +219,7 @@ def read_encoder_file(path, f: FunctionSpec) -> FccEncoder:
             raise ValueError(f"{path}: message rank {rank} out of range")
         if parity[rank] is not None:
             raise ValueError(f"{path}: message rank {rank} listed twice")
-        word = () if parts[1] == "-" else parse_digit_word(parts[1], q)
+        word = _parse_parity_word(parts[1], q)
         if len(word) != r:
             raise ValueError(f"{path}: parity {parts[1]!r} does not have length {r}")
         parity[rank] = word

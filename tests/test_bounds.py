@@ -23,6 +23,7 @@ from fcclib import (
     bound_report,
     bounds,
     build_drm,
+    build_fdm,
     compare_report,
     fdm_upper_bound,
     linear_function,
@@ -207,8 +208,7 @@ def test_optimality_certificates(ex_q2_k4, ex_q3_k3, or_q2_k2):
         optimality_check(or_q2_k2, 1)
     with pytest.raises(ValueError):
         optimality_check(ex_q2_k4, 0)
-    # this matrix has two distinct non-zero columns for l=1, so the check
-    # cannot take the subspace shortcut and must enter the budgeted search
+    # every search node counts against the budget, whatever the matrix
     with pytest.raises(BudgetExceededError):
         optimality_check(linear_function(3, [(1, 2)]), 1, node_budget=0)
 
@@ -224,7 +224,54 @@ def test_optimality_check_matches_brute_force():
         verdict = optimality_check(f, t)
         assert verdict == slow_optimality(f, t)
         verdicts[verdict] += 1
+    # unit-basis f whose non-zero columns repeat, over F_2, F_3 and F_5
+    for _ in range(40):
+        q = rng.choice([2, 3, 5])
+        l = rng.randrange(1, 3)
+        f = _unit_basis_with_repeats(rng, q, l, l + rng.randrange(1, 2 if q == 5 else 4))
+        t = rng.randrange(1, 3)
+        verdict = optimality_check(f, t)
+        assert verdict == slow_optimality(f, t)
+        verdicts[verdict] += 1
     assert verdicts[True] and verdicts[False]
+
+
+def _unit_basis_with_repeats(rng, q, l, k):
+    """Linear f with exactly l distinct non-zero columns, one of them repeated."""
+    while True:
+        basis = [tuple(rng.randrange(q) for _ in range(l)) for _ in range(l)]
+        columns = basis + [rng.choice(basis)]
+        columns += [rng.choice(basis + [(0,) * l]) for _ in range(k - l - 1)]
+        rng.shuffle(columns)
+        try:
+            f = linear_function(q, list(zip(*columns)), k=k)
+        except ValueError:
+            continue
+        if len(set(basis)) == l:
+            return f
+
+
+def test_optimality_check_compares_only_nonzero_fdm_pairs(monkeypatch):
+    # [I_5 | (2,0,0,0,0)^T] over F_3: 243 classes, 29,403 class pairs
+    rows = [[int(j == i) for j in range(5)] + [2 * (i == 0)] for i in range(5)]
+    f = linear_function(3, rows)
+    fdm = build_fdm(f, 1)
+    nonzero = sum(1 for a in range(fdm.order) for b in range(a) if fdm[a][b])
+    assert nonzero == 6_075
+    calls = []
+    real = bounds.hamming_distance
+    monkeypatch.setattr(
+        bounds, "hamming_distance", lambda x, y: calls.append(1) or real(x, y)
+    )
+    assert optimality_check(f, 1) is True
+    assert len(calls) <= nonzero
+
+
+def test_optimality_budget_counts_unit_basis_nodes(ex_q2_k4):
+    # four classes: the first descent takes one node per class
+    assert optimality_check(ex_q2_k4, 1, node_budget=4) is True
+    with pytest.raises(BudgetExceededError, match="exceeded 3 nodes"):
+        optimality_check(ex_q2_k4, 1, node_budget=3)
 
 
 def test_optimality_check_needs_no_recursion_depth():

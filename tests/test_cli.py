@@ -2,15 +2,30 @@
 
 import argparse
 import json
+import shlex
 
 import pytest
 
 import fcclib.cli
 import fcclib.distance
 import fcclib.graph
-from fcclib import __version__, build_drm, build_fdm, linear_function, n_q_exact
+from fcclib import (
+    __version__,
+    build_cosetwise_encoder,
+    build_drm,
+    build_fdm,
+    linear_function,
+    n_q_exact,
+    verify_fcc,
+)
 from fcclib.cli import EX_BUDGET, EX_INPUT, EX_NEGATIVE, EX_OK, main
-from fcclib.formats import read_encoder_file, read_matrix_csv, render_function_file
+from fcclib.formats import (
+    read_encoder_file,
+    read_matrix_csv,
+    read_parity_file,
+    render_encoder_file,
+    render_function_file,
+)
 from fcclib.mis import DEFAULT_NODE_BUDGET
 from helpers import all_words, brute_violation, slow_distance
 
@@ -496,3 +511,49 @@ def test_budget_provenance_only_where_budgets_are_read(capsys, tmp_path, data_di
     ):
         code, payload, _ = run_json(capsys, *argv)
         assert set(payload["meta"]) == {"tool", "command"} | keys, argv
+
+
+def test_construct_from_an_empty_parity_word(capsys, tmp_path, data_dir, const_q2_k3):
+    parity = tmp_path / "empty.txt"
+    parity.write_text("-\n")
+    enc_path = tmp_path / "const.enc"
+    code, payload, _ = run_json(
+        capsys, "construct", "--func", str(data_dir / "const_q2_k3.func"), "--t", "1",
+        "--parity", str(parity), "--out", str(enc_path),
+    )
+    assert code == EX_OK and payload["verified"] is True and payload["r"] == 0
+    assert verify_fcc(read_encoder_file(enc_path, const_q2_k3))
+
+
+def test_negative_results_carry_meta(capsys, tmp_path, data_dir, ex_q2_k4):
+    func = str(data_dir / "ex_q2_k4.func")
+    enc_path = tmp_path / "r1.enc"
+    argv = ["construct", "--func", func, "--t", "1", "--r", "1", "--out", str(enc_path)]
+    code, payload, _ = run_json(capsys, *argv)
+    assert code == EX_NEGATIVE and payload["found"] is False
+    assert payload["meta"]["command"] == "fcc " + shlex.join(argv)
+    assert not enc_path.exists()
+
+    assert main(["construct", "--func", func, "--t", "1", "--out", str(enc_path)]) == EX_OK
+    capsys.readouterr()
+    E = read_encoder_file(enc_path, ex_q2_k4)
+    codewords = [E.encode(u) for u in all_words(2, 4)]
+    far = next(
+        y for y in all_words(2, 7)
+        if min(slow_distance(y, c) for c in codewords) > 1
+    )
+    argv = ["decode", str(enc_path), "".join(map(str, far)), "--func", func]
+    code, payload, _ = run_json(capsys, *argv)
+    assert code == EX_NEGATIVE and payload["label"] is None
+    assert payload["meta"]["command"] == "fcc " + shlex.join(argv)
+
+
+def test_class_word_routes_match_goldens(capsys, data_dir, golden_dir, shipped_dir, ex_q2_k4):
+    code, out, _ = run(capsys, "construct", "--func", str(data_dir / "ex_q3_k3.func"), "--t", "1")
+    assert code == EX_OK
+    body = "".join(line for line in out.splitlines(True) if not line.startswith("#"))
+    assert body == (golden_dir / "construct_q3_k3_t1.enc").read_text()
+
+    parity = read_parity_file(shipped_dir / "parity_5_4_3_q2.txt", q=2)
+    text = render_encoder_file(build_cosetwise_encoder(ex_q2_k4, 1, parity))
+    assert text == (golden_dir / "cosetwise_q2_k4_t1.enc").read_text()

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import fcclib.cosets
 from fcclib import (
     CodeNotFoundError,
     DecodingFailureError,
@@ -168,6 +169,19 @@ def test_shipped_binary_parity_builds_valid_encoder(ex_q2_k4, shipped_dir):
     for i, ci in enumerate(sel.class_indices):
         for rank in dec.classes[ci]:
             assert E.parity[rank] == code.words[i]
+
+
+def test_encoder_selects_its_representatives_once(ex_q2_k4, shipped_dir, monkeypatch):
+    code = read_parity_file(shipped_dir / "parity_5_4_3_q2.txt", q=2)
+    calls = []
+    real = fcclib.cosets.select_subspace_representatives
+    monkeypatch.setattr(
+        fcclib.cosets,
+        "select_subspace_representatives",
+        lambda f: calls.append(f) or real(f),
+    )
+    build_cosetwise_encoder(ex_q2_k4, 1, code)
+    assert len(calls) == 1
 
 
 def test_shipped_ternary_parity_builds_valid_encoder(ex_q3_k3, shipped_dir):

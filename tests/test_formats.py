@@ -117,6 +117,15 @@ def test_matrix_csv_round_trip(tmp_path, ex_q2_k4):
         read_matrix_csv(empty)
 
 
+def test_empty_parity_words_round_trip(tmp_path):
+    code = ParityCode(q=2, r=0, words=((),))
+    text = render_parity_file(code)
+    assert text == "-\n"
+    path = tmp_path / "empty.txt"
+    path.write_text(text)
+    assert read_parity_file(path, q=2) == code
+
+
 def test_parity_file_round_trip(tmp_path):
     code = ParityCode(q=3, r=2, words=((0, 0), (1, 2), (2, 1)))
     path = tmp_path / "parity.txt"
