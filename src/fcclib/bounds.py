@@ -24,12 +24,12 @@ from .fields import (
     hamming_ball_size,
     hamming_distance,
     translate,
-    weights,
 )
 from .functions import (
     FunctionSpec,
+    _check_t,
+    _class_leaders,
     _require_linear,
-    coset_decomposition,
     image_size,
     kernel_weight_sum,
 )
@@ -93,7 +93,7 @@ def a_q_exact(
         return AqEstimate(q=q, n=n, d=d, value=value, kind="exact", witness=witness)
     index = VectorIndex(q, n)
     if d == 1:
-        witness = tuple(index.all_vectors()) if q**n <= 4096 else None
+        witness = tuple(index.all_vectors()) if q**n <= AQ_EXACT_LIMIT else None
         return AqEstimate(q=q, n=n, d=d, value=q**n, kind="exact", witness=witness)
     if d > n:
         return AqEstimate(
@@ -199,8 +199,7 @@ def _least_redundancy(q: int, k: int, size: int) -> int:
 def theorem1_bound(f: FunctionSpec, t: int, alpha: int) -> int:
     """Smallest r with alpha * q^r >= q^k, for alpha the exact independence
     number of the parity-free conflict graph."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    _check_t(t)
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
     return _least_redundancy(f.q, f.k, alpha)
@@ -208,8 +207,7 @@ def theorem1_bound(f: FunctionSpec, t: int, alpha: int) -> int:
 
 def two_t_bound(f: FunctionSpec, t: int) -> int:
     """2t for any non-constant function, 0 for a constant one."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    _check_t(t)
     return 2 * t if image_size(f) >= 2 else 0
 
 
@@ -218,8 +216,7 @@ def plotkin_linear_bound(f: FunctionSpec, t: int) -> Fraction:
     (q/(q-1)) * (2t+1) * (1 - q^-l) - k + s / ((q-1) * q^(k-1)),
     with s the total Hamming weight of the kernel."""
     _require_linear(f, "the linear averaging bound")
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    _check_t(t)
     q, k, l = f.q, f.k, f.l
     if l < 1:
         raise ValueError("the bound needs a non-constant linear function")
@@ -255,8 +252,7 @@ def optimality_check(
     matrix — certifying that the FDM search upper bound is exactly optimal.
     """
     _require_linear(f, "the optimality certificate")
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    _check_t(t)
     q, k = f.q, f.k
     need = 2 * t + 1
     fdm = build_fdm(f, t)
@@ -268,11 +264,7 @@ def optimality_check(
     # members agree with it, so only the non-zero entries are compared.  An
     # explicit stack: tried[d] counts the candidates taken so far at depth d,
     # so len(tried) == len(chosen) + 1 and no depth limit applies.
-    wt = weights(q, k)
-    candidates = []
-    for ranks in coset_decomposition(f).classes:
-        best = min(map(wt.__getitem__, ranks))
-        candidates.append([r for r in ranks if wt[r] == best])
+    candidates = _class_leaders(f)
     m = len(candidates)
     order = sorted(range(m), key=lambda c: len(candidates[c]))
     depth_of = sorted(range(m), key=order.__getitem__)  # class -> depth
@@ -472,8 +464,7 @@ def bound_report(
     """Assemble every applicable bound for (f, t), recording per-entry
     assumptions; inapplicable entries carry a reason instead of a value, and
     entries blocked by a solver budget carry a note prefixed "budget: "."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    _check_t(t)
     q, k = f.q, f.k
 
     # Each provider returns (rational, integer, note) or raises

@@ -25,6 +25,7 @@ from .errors import CodeNotFoundError
 from .fields import ENUMERATION_LIMIT, VectorIndex
 from .functions import (
     FunctionSpec,
+    _check_t,
     _require_linear,
     classify,
     coset_decomposition,
@@ -152,8 +153,7 @@ def reduced_problem(f: FunctionSpec, t: int) -> DistanceMatrix:
     so all cross-coset function distances equal 1.
     """
     _require_linear(f, "reduced distance requirements")
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    _check_t(t)
     census = classify(f)
     if not census.unit_distance_class:
         raise ValueError(

@@ -27,7 +27,7 @@ from .fields import (
     hamming_distance,
     translate,
 )
-from .functions import FunctionSpec, coset_decomposition, image_size
+from .functions import FunctionSpec, _check_t, coset_decomposition, image_size
 
 PAIRWISE_MATRIX_LIMIT = 4096
 """Largest q^k for which the full message-pairwise matrix is built."""
@@ -92,17 +92,10 @@ def matrix_from_lists(entries, labels=None) -> DistanceMatrix:
     return DistanceMatrix(rows=tuple(rows), labels=tuple(labels))
 
 
-def _check_t(f: FunctionSpec, t: int) -> None:
-    if t < 1:
-        raise ValueError(f"error weight t must be >= 1, got {t}")
-    if 2 * t + 1 > 255:
-        raise ValueError(f"2t+1 = {2 * t + 1} exceeds the entry range")
-
-
 def _pairwise_order(f: FunctionSpec, t: int) -> int:
     """q^k, the order of the message-pairwise matrix, once t and the order
     pass their checks."""
-    _check_t(f, t)
+    _check_t(t)
     size = f.q**f.k
     if size > PAIRWISE_MATRIX_LIMIT:
         raise ValueError(
@@ -152,7 +145,7 @@ def build_fdm(f: FunctionSpec, t: int) -> DistanceMatrix:
     f walks from every message, at up to q^k * V(k, 2t).  Beyond the class
     map, one weight shell is held at a time.
     """
-    _check_t(f, t)
+    _check_t(t)
     dec = coset_decomposition(f)
     cls = dec.class_of
     m = len(dec)
@@ -308,7 +301,7 @@ def _fdm_search(
 ) -> NqSearchResult:
     """n_q_exact on build_fdm(f, t); an image above the search limit is
     refused before the matrix is built."""
-    _check_t(f, t)
+    _check_t(t)
     _refuse_order(image_size(f))
     return n_q_exact(build_fdm(f, t), f.q, r_cap=r_cap, deadline=deadline)
 

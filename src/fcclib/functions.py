@@ -12,7 +12,7 @@ matrix and every coset-wise structure in this package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul
 
 from .fields import (
@@ -151,16 +151,13 @@ class CosetDecomposition:
     def index_of(self, value) -> int:
         """Class index of an image value."""
         try:
-            return self._label_index()[value]
+            return self._label_index[value]
         except KeyError:
             raise ValueError(f"value {value!r} is not in the image") from None
 
+    @cached_property
     def _label_index(self) -> dict:
-        cached = getattr(self, "_label_index_cache", None)
-        if cached is None:
-            cached = {v: i for i, v in enumerate(self.labels)}
-            object.__setattr__(self, "_label_index_cache", cached)
-        return cached
+        return {v: i for i, v in enumerate(self.labels)}
 
 
 @lru_cache(maxsize=128)
@@ -217,6 +214,24 @@ def _require_linear(f: FunctionSpec, what: str) -> None:
         raise ValueError(f"{what} is defined for linear functions only")
 
 
+def _check_t(t: int) -> None:
+    """Refuse an error weight outside [1, 127]: requirement entries 2t+1 are
+    bytes."""
+    if not 1 <= t <= 127:
+        raise ValueError(f"error weight t must lie in [1, 127], got {t}")
+
+
+def _class_leaders(f: FunctionSpec) -> list[tuple[int, ...]]:
+    """The ranks of each class's minimum-weight members, ascending, in class
+    order: one pass over the classes with the ``fields.weights`` table."""
+    wt = weights(f.q, f.k)
+    leaders = []
+    for ranks in coset_decomposition(f).classes:
+        best = min(map(wt.__getitem__, ranks))
+        leaders.append(tuple(r for r in ranks if wt[r] == best))
+    return leaders
+
+
 def kernel_weight_distribution(f: FunctionSpec) -> dict[int, int]:
     """Count kernel vectors by Hamming weight (linear mode only)."""
     _require_linear(f, "kernel weight distribution")
@@ -255,22 +270,19 @@ def min_weight_representatives(f: FunctionSpec) -> list[FieldVec]:
     """One minimum-weight member per class, in class (label) order.
 
     Ties are broken toward the lowest canonical rank, which makes the
-    selection deterministic.  Weights come from ``fields.weights``; only the
+    selection deterministic: the first of ``_class_leaders``; only the
     chosen members are decoded.  Linear mode only.
     """
     _require_linear(f, "minimum-weight representative selection")
-    classes = coset_decomposition(f).classes
-    wt = weights(f.q, f.k)
     idx = f.index
-    return [idx.vector(min(c, key=wt.__getitem__)) for c in classes]
+    return [idx.vector(ranks[0]) for ranks in _class_leaders(f)]
 
 
 def class_min_weights(f: FunctionSpec) -> list[int]:
     """Minimum Hamming weight of each class, in class order (linear mode)."""
     _require_linear(f, "minimum-weight representative selection")
-    classes = coset_decomposition(f).classes
     wt = weights(f.q, f.k)
-    return [min(map(wt.__getitem__, c)) for c in classes]
+    return [wt[ranks[0]] for ranks in _class_leaders(f)]
 
 
 def count_min_weight_cosets(f: FunctionSpec, i: int) -> int:

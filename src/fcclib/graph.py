@@ -23,7 +23,7 @@ Decoding searches the radius-t Hamming ball around the received message part.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 from .errors import CodeNotFoundError, DecodingFailureError
 from .fields import (
@@ -38,7 +38,7 @@ from .fields import (
     translate,
     translate_mask,
 )
-from .functions import FunctionSpec, coset_decomposition
+from .functions import FunctionSpec, _check_t, coset_decomposition
 from .mis import DEFAULT_NODE_BUDGET, MisResult, _bits, max_independent_set
 
 GRAPH_VERTEX_LIMIT = 2**16
@@ -91,8 +91,7 @@ class FccEncoder:
     parity: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.t < 1:
-            raise ValueError("t must be >= 1")
+        _check_t(self.t)
         if self.r < 0:
             raise ValueError("r must be >= 0")
         expect = self.f.q**self.f.k
@@ -116,6 +115,12 @@ class FccEncoder:
         """Codeword for message u."""
         rank = VectorIndex(self.f.q, self.f.k).rank(u)
         return tuple(u) + self.parity[rank]
+
+    @cached_property
+    def _ball(self) -> tuple[Difference, ...]:
+        """The message differences of weight at most t, built once for
+        ``decode``."""
+        return tuple(differences(self.f.q, self.f.k, 0, self.t))
 
 
 def _connection_set(f: FunctionSpec, t: int, r: int) -> list[Difference]:
@@ -153,8 +158,7 @@ def connection_row(f: FunctionSpec, t: int, r: int) -> list[int]:
     Entry for vertex (u, p): 1 when u == 0 and p != 0, or when f(u) != f(0)
     and weight(u) + weight(p) < 2t+1.
     """
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    _check_t(t)
     if r < 0:
         raise ValueError("r must be >= 0")
     size = f.q ** (f.k + r)
@@ -186,8 +190,7 @@ def build_graph(f: FunctionSpec, t: int, r: int) -> FccGraph:
     or when f(u) != f(u') and the concatenations differ in fewer than 2t+1
     positions.
     """
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    _check_t(t)
     n_vertices = _vertex_count(f, r)
     q, k = f.q, f.k
     if f.mode == "linear":
@@ -347,12 +350,6 @@ def verify_fcc(E: FccEncoder) -> bool:
     return find_fcc_violation(E) is None
 
 
-@lru_cache(maxsize=16)
-def _ball(q: int, k: int, t: int) -> tuple[Difference, ...]:
-    """The differences of weight at most t, built once per (q, k, t)."""
-    return tuple(differences(q, k, 0, t))
-
-
 def decode(E: FccEncoder, y: tuple[int, ...]):
     """Function value of the nearest codeword to y, if one lies within radius t.
 
@@ -368,7 +365,7 @@ def decode(E: FccEncoder, y: tuple[int, ...]):
         raise ValueError(f"received word {y} has symbols outside F_{q}")
     head, tail = tuple(y[:k]), tuple(y[k:])
     msg_index = VectorIndex(q, k)
-    ball = _ball(q, k, E.t)
+    ball = E._ball
     best_d, best_rank = min(
         (len(support) + hamming_distance(E.parity[u], tail), u)
         for (_, support, _), u in zip(ball, translate(q, msg_index.rank(head), ball))

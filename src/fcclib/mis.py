@@ -40,10 +40,6 @@ class MisResult:
     complete: bool
 
 
-class _TargetReached(Exception):
-    pass
-
-
 # Byte i with its eight bits in reverse order.
 _REVERSED = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
 
@@ -123,43 +119,40 @@ def max_independent_set(
     # the level].  ``mask`` holds the vertices of the open levels.
     stack = [[root_p, root, 0]]
     mask = 0
-    try:
-        while stack:
-            frame = stack[-1]
-            order = frame[1]
-            size = len(stack) - 1
-            if not order or size + (order[-1] >> shift) <= best:
-                stack.pop()
-                mask ^= frame[2]
-                continue
-            b = order.pop() & low
-            nodes += 1
-            if node_budget is not None and nodes > node_budget:
-                raise BudgetExceededError(
-                    f"independent-set search exceeded {node_budget} nodes",
-                    best_lower=best,
-                    best_upper=root_bound,
-                )
-            if deadline is not None and nodes & 1023 == 0 and monotonic() > deadline:
-                raise BudgetExceededError(
-                    "independent-set search exceeded the time budget",
-                    best_lower=best,
-                    best_upper=root_bound,
-                )
-            vbit = bit[b]
-            if size + 1 > best:
-                best = size + 1
-                best_mask = mask | vbit
-                if target is not None and best >= target:
-                    raise _TargetReached
-            p = frame[0] ^ vbit
-            frame[0] = p
-            new_p = p & ~radj[b]
-            if new_p:
-                mask |= vbit
-                stack.append([new_p, coloring(new_p, best - size - 1), vbit])
-        complete = True
-    except _TargetReached:
-        complete = False
+    while stack:
+        frame = stack[-1]
+        order = frame[1]
+        size = len(stack) - 1
+        if not order or size + (order[-1] >> shift) <= best:
+            stack.pop()
+            mask ^= frame[2]
+            continue
+        b = order.pop() & low
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            raise BudgetExceededError(
+                f"independent-set search exceeded {node_budget} nodes",
+                best_lower=best,
+                best_upper=root_bound,
+            )
+        if deadline is not None and nodes & 1023 == 0 and monotonic() > deadline:
+            raise BudgetExceededError(
+                "independent-set search exceeded the time budget",
+                best_lower=best,
+                best_upper=root_bound,
+            )
+        vbit = bit[b]
+        if size + 1 > best:
+            best = size + 1
+            best_mask = mask | vbit
+            if target is not None and best >= target:
+                break
+        p = frame[0] ^ vbit
+        frame[0] = p
+        new_p = p & ~radj[b]
+        if new_p:
+            mask |= vbit
+            stack.append([new_p, coloring(new_p, best - size - 1), vbit])
     members = tuple(top - 1 - i for i in reversed(_bits(best_mask)))
-    return MisResult(size=best, members=members, nodes=nodes, complete=complete)
+    # A loop left by ``break`` (target met) still holds its frames.
+    return MisResult(size=best, members=members, nodes=nodes, complete=not stack)

@@ -24,7 +24,7 @@ from math import comb
 from operator import mul
 
 from .fields import ENUMERATION_LIMIT, differences
-from .functions import FunctionSpec, _require_linear, coset_decomposition
+from .functions import FunctionSpec, _check_t, _require_linear, coset_decomposition
 from .graph import FccGraph, connection_row
 
 
@@ -149,8 +149,7 @@ def _shell_spectra(f: FunctionSpec, t: int) -> set[tuple]:
     """The distinct tuples (S_1(a), ..., S_W(a)) over the characters a of
     F_q^k, where S_w(a) is the transform of the shell {z : wt(z) = w, f(z) !=
     f(0)} and W = min(2t, k): one length-q^k transform per shell."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    _check_t(t)
     q, k = f.q, f.k
     cls = coset_decomposition(f).class_of
     spectra = []

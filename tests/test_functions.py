@@ -7,16 +7,28 @@ from collections import Counter
 import pytest
 
 from fcclib import (
+    FccEncoder,
     FunctionSpec,
     VectorIndex,
+    bound_report,
     build_drm,
     build_fdm,
+    build_graph,
     classify,
     coset_decomposition,
+    cosetwise_requirements,
+    eigenvalue_redundancy_bound,
+    fdm_upper_bound,
     function_distance,
     image_size,
     linear_function,
+    optimality_check,
+    plotkin_linear_bound,
+    reduced_problem,
+    spectrum_of,
     table_function,
+    theorem1_bound,
+    two_t_bound,
 )
 from fcclib.functions import (
     class_min_weights,
@@ -25,6 +37,7 @@ from fcclib.functions import (
     kernel_weight_sum,
     min_weight_representatives,
 )
+from fcclib.graph import connection_row
 from helpers import (
     all_words,
     rand_linear,
@@ -495,3 +508,32 @@ def test_column_permutation_relabels_requirement_matrices():
         for a, lab_a in enumerate(fdm_g.labels):
             for b, lab_b in enumerate(fdm_g.labels):
                 assert fdm_g[a][b] == fdm_f[pos_f[lab_a]][pos_f[lab_b]]
+
+
+# Every public entry point that takes the error weight t, called on a linear f
+# that reaches the t check before any other.
+T_ENTRY_POINTS = {
+    "build_drm": lambda f, t: build_drm(f, t),
+    "build_fdm": lambda f, t: build_fdm(f, t),
+    "fdm_upper_bound": lambda f, t: fdm_upper_bound(f, t),
+    "build_graph": lambda f, t: build_graph(f, t, 0),
+    "connection_row": lambda f, t: connection_row(f, t, 0),
+    "spectrum_of": lambda f, t: spectrum_of(f, t, 0),
+    "eigenvalue_redundancy_bound": lambda f, t: eigenvalue_redundancy_bound(f, t, 2),
+    "theorem1_bound": lambda f, t: theorem1_bound(f, t, 1),
+    "two_t_bound": lambda f, t: two_t_bound(f, t),
+    "plotkin_linear_bound": lambda f, t: plotkin_linear_bound(f, t),
+    "optimality_check": lambda f, t: optimality_check(f, t),
+    "bound_report": lambda f, t: bound_report(f, t),
+    "reduced_problem": lambda f, t: reduced_problem(f, t),
+    "cosetwise_requirements": lambda f, t: cosetwise_requirements(f, t),
+    "FccEncoder": lambda f, t: FccEncoder(f=f, t=t, r=0, parity=((),) * 16),
+}
+
+
+@pytest.mark.parametrize("t", [0, 128])
+@pytest.mark.parametrize("entry", sorted(T_ENTRY_POINTS))
+def test_every_entry_point_refuses_t_outside_range_alike(ex_q2_k4, entry, t):
+    with pytest.raises(ValueError) as exc:
+        T_ENTRY_POINTS[entry](ex_q2_k4, t)
+    assert str(exc.value) == f"error weight t must lie in [1, 127], got {t}"
