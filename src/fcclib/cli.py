@@ -42,7 +42,7 @@ from .formats import (
     render_matrix_csv,
     render_spectrum_csv,
 )
-from .functions import FunctionSpec
+from .functions import linear_function
 from .graph import (
     build_graph,
     decode as graph_decode,
@@ -71,10 +71,7 @@ def _load_function(args):
     rows = parse_inline_rows(args.matrix)
     if not rows:
         raise ValueError("--matrix needs at least one row (use a file for l=0)")
-    # Built directly, so an entry outside [0, q) is refused, not reduced mod q.
-    matrix = tuple(map(tuple, rows))
-    q = args.q if args.q is not None else 2
-    return FunctionSpec(q=q, k=len(matrix[0]), mode="linear", matrix=matrix)
+    return linear_function(args.q if args.q is not None else 2, rows)
 
 
 def _required_t(args) -> int:

@@ -29,6 +29,7 @@ from .functions import (
     _require_linear,
     classify,
     coset_decomposition,
+    min_weight_representatives,
 )
 from .graph import FccEncoder
 
@@ -51,12 +52,13 @@ class SubspaceSelection:
 
 
 def select_subspace_representatives(f: FunctionSpec) -> SubspaceSelection:
-    """Choose unit vectors in distinct cosets and return their span.
+    """The minimum-weight class representatives, in truncation order.
 
-    Requires the matrix of f to have exactly l distinct non-zero columns.
-    For each distinct column value the unit at the last coordinate carrying
-    that value is chosen (the unit of smallest canonical rank); their span
-    consists of minimum-weight vectors, one per coset of q^l many.
+    Requires the matrix of f to have exactly l distinct non-zero columns,
+    which are then a basis of F_q^l.  The first minimum-weight member of each
+    class (``min_weight_representatives``) uses, per basis column, only the
+    last coordinate carrying it, so it is zero off ``unit_positions``: the
+    q^l members are the span of the units there, sorted by their truncation.
     """
     _require_linear(f, "subspace representative selection")
     census = classify(f)
@@ -65,34 +67,22 @@ def select_subspace_representatives(f: FunctionSpec) -> SubspaceSelection:
             f"selection needs exactly l={f.l} distinct non-zero columns; "
             f"found {census.distinct_nonzero_columns}"
         )
-    q, k, l = f.q, f.k, f.l
     assert f.matrix is not None
     chosen: dict[tuple[int, ...], int] = {}
-    for pos in range(k):
+    for pos in range(f.k):
         column = tuple(row[pos] for row in f.matrix)
         if any(column):
             chosen[column] = pos  # later positions overwrite: keep the last
     positions = tuple(sorted(chosen.values()))
-    coeff_index = VectorIndex(q, l)
-    members = []
-    truncated = []
-    for rank in range(q**l):
-        coeffs = coeff_index.vector(rank)
-        vec = [0] * k
-        for c, pos in zip(coeffs, positions):
-            vec[pos] = c
-        members.append(tuple(vec))
-        truncated.append(coeffs)
-    dec = coset_decomposition(f)
-    msg_index = VectorIndex(q, k)
-    class_indices = tuple(dec.class_of[msg_index.rank(m)] for m in members)
-    if len(set(class_indices)) != q**l:
-        raise AssertionError("span members do not cover all cosets")
+    # Equal-length tuples sort lexicographically: in canonical rank order.
+    leaders = enumerate(min_weight_representatives(f))
+    by_truncation = sorted((tuple(m[p] for p in positions), c, m) for c, m in leaders)
+    truncated, class_indices, members = zip(*by_truncation)
     return SubspaceSelection(
         f=f,
         unit_positions=positions,
-        members=tuple(members),
-        truncated=tuple(truncated),
+        members=members,
+        truncated=truncated,
         class_indices=class_indices,
     )
 

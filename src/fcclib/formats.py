@@ -5,7 +5,9 @@ may prepend provenance comments without breaking its own reader.  Renderers
 return the full file text; callers put it on disk.  Digit-string fields
 (parity words, received words) hold one decimal digit per symbol, so their
 readers and renderers reject q > 10; function files separate their symbols
-with spaces and take any prime q.
+with spaces and take any prime q.  The `rank value` bodies of table function
+files and encoder files share one reader, ``_read_rank_body``: line count,
+two fields, rank in range, no rank twice, then one parse per value.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from pathlib import Path
 
 from .bounds import AqEstimate, AqTable, BoundReport, CompareRow
 from .distance import DistanceMatrix, ParityCode, matrix_from_lists
-from .functions import FunctionSpec, table_function
+from .fields import is_prime
+from .functions import FunctionSpec, _check_domain, linear_function, table_function
 from .graph import FccEncoder, FccGraph
 from .spectrum import Spectrum
 
@@ -28,6 +31,27 @@ def _data_lines(text: str) -> list[str]:
         if stripped and not stripped.startswith("#"):
             out.append(stripped)
     return out
+
+
+def _read_rank_body(path, body, size: int, kind: str, fields: str, parse) -> list:
+    """The values of ``size`` lines ``rank value``, one per rank, each read by
+    ``parse``.  Refusals name the lines ``kind`` and their fields ``fields``,
+    whose first field, underscores read as spaces, names the rank."""
+    if len(body) != size:
+        raise ValueError(f"{path}: expected {size} {kind} lines, got {len(body)}")
+    rank_name = fields.split()[0].replace("_", " ")
+    values: list = [None] * size
+    for line in body:
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"{path}: {kind} line {line!r} must be {fields!r}")
+        rank = int(parts[0])
+        if not 0 <= rank < size:
+            raise ValueError(f"{path}: {rank_name} {rank} out of range")
+        if values[rank] is not None:
+            raise ValueError(f"{path}: {rank_name} {rank} listed twice")
+        values[rank] = parse(parts[1])
+    return values
 
 
 def _comment_block(header_lines) -> str:
@@ -96,6 +120,7 @@ def read_function_file(path) -> FunctionSpec:
     if len(head) != 4:
         raise ValueError(f"{path}: header must be 'q k l mode', got {lines[0]!r}")
     q, k, l = (int(x) for x in head[:3])
+    _check_domain(q, k)
     mode = head[3]
     body = lines[1:]
     if mode == "linear":
@@ -105,24 +130,9 @@ def read_function_file(path) -> FunctionSpec:
         for row in rows:
             if len(row) != k:
                 raise ValueError(f"{path}: matrix row {row} does not have length {k}")
-        # Built directly, so an entry outside [0, q) is refused, not reduced.
-        matrix = tuple(map(tuple, rows))
-        return FunctionSpec(q=q, k=k, mode="linear", matrix=matrix)
+        return linear_function(q, rows, k)
     if mode == "table":
-        size = q**k
-        if len(body) != size:
-            raise ValueError(f"{path}: expected {size} table lines, got {len(body)}")
-        labels: list[int | None] = [None] * size
-        for line in body:
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}: table line {line!r} must be 'rank label'")
-            rank, label = int(parts[0]), int(parts[1])
-            if not 0 <= rank < size:
-                raise ValueError(f"{path}: rank {rank} out of range")
-            if labels[rank] is not None:
-                raise ValueError(f"{path}: rank {rank} listed twice")
-            labels[rank] = label
+        labels = _read_rank_body(path, body, q**k, "table", "rank label", int)
         return table_function(q, k, labels)
     raise ValueError(f"{path}: unknown mode {mode!r}")
 
@@ -203,27 +213,17 @@ def read_encoder_file(path, f: FunctionSpec) -> FccEncoder:
             f"{path}: encoder is for q={q}, k={k}; the function has "
             f"q={f.q}, k={f.k}"
         )
-    size = q**k
-    body = lines[1:]
-    if len(body) != size:
-        raise ValueError(f"{path}: expected {size} parity lines, got {len(body)}")
-    parity: list[tuple[int, ...] | None] = [None] * size
-    for line in body:
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(
-                f"{path}: parity line {line!r} must be 'message_rank parity_digits'"
-            )
-        rank = int(parts[0])
-        if not 0 <= rank < size:
-            raise ValueError(f"{path}: message rank {rank} out of range")
-        if parity[rank] is not None:
-            raise ValueError(f"{path}: message rank {rank} listed twice")
-        word = _parse_parity_word(parts[1], q)
+
+    def parse(text: str) -> tuple[int, ...]:
+        word = _parse_parity_word(text, q)
         if len(word) != r:
-            raise ValueError(f"{path}: parity {parts[1]!r} does not have length {r}")
-        parity[rank] = word
-    return FccEncoder(f=f, t=t, r=r, parity=tuple(parity))  # type: ignore[arg-type]
+            raise ValueError(f"{path}: parity {text!r} does not have length {r}")
+        return word
+
+    parity = _read_rank_body(
+        path, lines[1:], q**k, "parity", "message_rank parity_digits", parse
+    )
+    return FccEncoder(f=f, t=t, r=r, parity=tuple(parity))
 
 
 # -- code-size tables --------------------------------------------------------
@@ -239,6 +239,12 @@ def read_aq_table(path) -> AqTable:
         if len(parts) != 5:
             raise ValueError(f"{path}: row {line!r} must have 5 columns")
         q, n, d, value = (int(x) for x in parts[:4])
+        # Every A_q(n, d) with n >= 0 and d >= 1 is at least 1.
+        if not (is_prime(q) and n >= 0 and d >= 1 and value >= 1):
+            raise ValueError(
+                f"{path}: row {line!r} needs a prime q, n >= 0, d >= 1 "
+                "and value >= 1"
+            )
         kind = parts[4]
         if kind not in TABLE_KINDS:
             raise ValueError(

@@ -28,6 +28,13 @@ from .fields import (
 )
 
 
+def _check_domain(q: int, k: int) -> None:
+    """Refuse a field size that is not prime or a domain length below 1."""
+    PrimeField(q)
+    if k < 1:
+        raise ValueError(f"domain length must be positive, got {k}")
+
+
 @dataclass(frozen=True)
 class FunctionSpec:
     """The function under protection.
@@ -48,9 +55,7 @@ class FunctionSpec:
     table: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        PrimeField(self.q)
-        if self.k < 1:
-            raise ValueError(f"domain length must be positive, got {self.k}")
+        _check_domain(self.q, self.k)
         if self.mode == "linear":
             if self.matrix is None or self.table is not None:
                 raise ValueError("linear mode requires a matrix and no table")
