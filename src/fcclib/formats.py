@@ -7,16 +7,19 @@ return the full file text; callers put it on disk.  Digit-string fields
 readers and renderers reject q > 10; function files separate their symbols
 with spaces and take any prime q.  The `rank value` bodies of table function
 files and encoder files share one reader, ``_read_rank_body``: line count,
-two fields, rank in range, no rank twice, then one parse per value.
+two fields, rank in range, no rank twice, then one parse per value.  Every
+integer field of every file goes through ``_int``, whose refusal names the file
+and the text.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from pathlib import Path
 
 from .bounds import AqEstimate, AqTable, BoundReport, CompareRow
 from .distance import DistanceMatrix, ParityCode, matrix_from_lists
-from .fields import is_prime
+from .fields import ENUMERATION_LIMIT, is_prime
 from .functions import FunctionSpec, _check_domain, linear_function, table_function
 from .graph import FccEncoder, FccGraph
 from .spectrum import Spectrum
@@ -33,6 +36,14 @@ def _data_lines(text: str) -> list[str]:
     return out
 
 
+def _int(path, text: str) -> int:
+    """The integer ``text`` of a field of the file ``path``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{path}: expected an integer, got {text!r}") from None
+
+
 def _read_rank_body(path, body, size: int, kind: str, fields: str, parse) -> list:
     """The values of ``size`` lines ``rank value``, one per rank, each read by
     ``parse``.  Refusals name the lines ``kind`` and their fields ``fields``,
@@ -45,7 +56,7 @@ def _read_rank_body(path, body, size: int, kind: str, fields: str, parse) -> lis
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"{path}: {kind} line {line!r} must be {fields!r}")
-        rank = int(parts[0])
+        rank = _int(path, parts[0])
         if not 0 <= rank < size:
             raise ValueError(f"{path}: {rank_name} {rank} out of range")
         if values[rank] is not None:
@@ -119,20 +130,29 @@ def read_function_file(path) -> FunctionSpec:
     head = lines[0].split()
     if len(head) != 4:
         raise ValueError(f"{path}: header must be 'q k l mode', got {lines[0]!r}")
-    q, k, l = (int(x) for x in head[:3])
+    q, k, l = (_int(path, x) for x in head[:3])
     _check_domain(q, k)
     mode = head[3]
     body = lines[1:]
     if mode == "linear":
         if len(body) != l:
             raise ValueError(f"{path}: expected {l} matrix rows, got {len(body)}")
-        rows = [[int(x) for x in line.split()] for line in body]
+        rows = [[_int(path, x) for x in line.split()] for line in body]
         for row in rows:
             if len(row) != k:
                 raise ValueError(f"{path}: matrix row {row} does not have length {k}")
         return linear_function(q, rows, k)
     if mode == "table":
-        labels = _read_rank_body(path, body, q**k, "table", "rank label", int)
+        # With q >= 2, q^k passes the limit once k reaches the limit's bit
+        # length, so capping k there decides it without a huge power.
+        if q ** min(k, ENUMERATION_LIMIT.bit_length()) > ENUMERATION_LIMIT:
+            raise ValueError(
+                f"{path}: a table over q={q}, k={k} would exceed the enumeration "
+                f"limit of {ENUMERATION_LIMIT} entries"
+            )
+        labels = _read_rank_body(
+            path, body, q**k, "table", "rank label", partial(_int, path)
+        )
         return table_function(q, k, labels)
     raise ValueError(f"{path}: unknown mode {mode!r}")
 
@@ -157,7 +177,7 @@ def read_matrix_csv(path) -> DistanceMatrix:
     lines = _data_lines(Path(path).read_text())
     if not lines:
         raise ValueError(f"{path}: empty matrix file")
-    entries = [[int(x) for x in line.split(",")] for line in lines]
+    entries = [[_int(path, x) for x in line.split(",")] for line in lines]
     return matrix_from_lists(entries)
 
 
@@ -206,7 +226,7 @@ def read_encoder_file(path, f: FunctionSpec) -> FccEncoder:
     head = lines[0].split()
     if len(head) != 4:
         raise ValueError(f"{path}: header must be 'q k r t', got {lines[0]!r}")
-    q, k, r, t = (int(x) for x in head)
+    q, k, r, t = (_int(path, x) for x in head)
     _require_digit_field(q)
     if (q, k) != (f.q, f.k):
         raise ValueError(
@@ -238,7 +258,7 @@ def read_aq_table(path) -> AqTable:
             continue
         if len(parts) != 5:
             raise ValueError(f"{path}: row {line!r} must have 5 columns")
-        q, n, d, value = (int(x) for x in parts[:4])
+        q, n, d, value = (_int(path, x) for x in parts[:4])
         # Every A_q(n, d) with n >= 0 and d >= 1 is at least 1.
         if not (is_prime(q) and n >= 0 and d >= 1 and value >= 1):
             raise ValueError(
@@ -307,7 +327,7 @@ def render_adjacency_file(G: FccGraph, header_lines=()) -> str:
 def read_adjacency_file(path) -> tuple[tuple[int, ...], ...]:
     """Parse 0/1 digit rows into a tuple of tuples (no graph construction)."""
     lines = _data_lines(Path(path).read_text())
-    rows = tuple(tuple(int(ch) for ch in line) for line in lines)
+    rows = tuple(tuple(_int(path, ch) for ch in line) for line in lines)
     for row in rows:
         if len(row) != len(rows):
             raise ValueError(f"{path}: adjacency rows must form a square matrix")

@@ -9,10 +9,10 @@ integer arithmetic; the connection set is closed under scaling by F_q^*, which
 makes every eigenvalue an integer, and each one is checked to be so.
 
 The eigenvalue redundancy scan needs only the extreme eigenvalues, and those
-split over the message and parity parts of the connection set: it transforms
-the 2t message shells S_w (weight w, outside f's zero class), each of length
-q^k, once, and at each r combines them with q-ary Krawtchouk sums over the
-parity weights, so no length-q^(k+r) row is built.
+split over the message and parity parts of the connection set: the 2t message
+shells S_w (weight w, outside f's zero class) ride as bit lanes of one length-q^k
+transform, decoded once per distinct entry, and each r combines them with q-ary
+Krawtchouk sums over the parity weights, so no length-q^(k+r) row is built.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
-from operator import mul
+from operator import mul, sub
 
 from .fields import ENUMERATION_LIMIT, differences
 from .functions import FunctionSpec, _check_t, _require_linear, coset_decomposition
@@ -48,29 +48,24 @@ class Spectrum:
         return min(self.eigenvalues)
 
 
-def _row_spectrum(row: list[int], q: int) -> Spectrum:
-    """Spectrum of the Cayley graph on (Z_q)^n with 0/1 first row ``row``.
-
-    Entry j of the transform is sum_c B_c x^c, x carried as 2^width in
-    Z/(2^(q*width) - 1); each B_c < 2^(width-1) counts ones of the row.  Its
-    eigenvalue is B_0 - B_1, certified integral by B_1 = ... = B_(q-1)."""
+def _transform(values: list[int], q: int, width: int) -> list[int]:
+    """The transform over (Z_q)^n of a length-q^n list, in Z[x]/(x^q - 1) with
+    x carried as 2^width: entry j is sum_c B_c x^c mod 2^(q*width) - 1, B_c the
+    sum of the values at the i with i.j = c; exact while each B_c < 2^(width-1)."""
     n_digits = 0
-    size = 1
-    while size < len(row):
-        size *= q
+    while q**n_digits < len(values):
         n_digits += 1
-    if size != len(row):
-        raise ValueError(f"row length {len(row)} is not a power of {q}")
-    width = len(row).bit_length() + 1
+    if q**n_digits != len(values):
+        raise ValueError(f"row length {len(values)} is not a power of {q}")
     top = q * width
     modulus = (1 << top) - 1
-    values = list(row)
+    values = list(values)
     # Transform the leading digit and move it to the end; after n_digits
     # passes every digit is transformed and back in place.  Shifted sums
     # (j > 0) fold their bits above 2^top back onto the low ones (x^q = 1);
-    # j = 0 only adds, at most log2(size) bits over all passes.  Entries so
-    # stay below 2^(top + width) instead of growing with every pass.
-    part = size // q
+    # j = 0 only adds, at most log2 of the length in bits over all passes.
+    # Entries so stay below 2^(top + width) instead of growing every pass.
+    part = len(values) // q
     for _ in range(n_digits):
         chunks = [values[s * part : (s + 1) * part] for s in range(q)]
         for j in range(q):
@@ -81,15 +76,24 @@ def _row_spectrum(row: list[int], q: int) -> Spectrum:
             if j:
                 acc = [(v & modulus) + (v >> top) for v in acc]
             values[j::q] = acc
+    return [v % modulus for v in values]
+
+
+def _coefficients(v: int, q: int, width: int) -> tuple[int, int]:
+    """(B_0, B_1) of a reduced transform entry, certified by B_1 = ... = B_(q-1)."""
     mask = (1 << width) - 1
-    eigen = []
-    for v in values:
-        v %= modulus
-        coeffs = {v >> c * width & mask for c in range(1, q)}
-        if len(coeffs) != 1:
-            raise ValueError("transform entry is not an integer eigenvalue")
-        eigen.append((v & mask) - coeffs.pop())
-    return Spectrum(q=q, eigenvalues=tuple(eigen))
+    coeffs = {v >> c * width & mask for c in range(1, q)}
+    if len(coeffs) != 1:
+        raise ValueError("transform entry is not an integer eigenvalue")
+    return v & mask, coeffs.pop()
+
+
+def _row_spectrum(row: list[int], q: int) -> Spectrum:
+    """Cayley-graph spectrum of the 0/1 first row ``row``, decoded once per value."""
+    width = len(row).bit_length() + 1
+    values = _transform(row, q, width)
+    eigen = {v: sub(*_coefficients(v, q, width)) for v in set(values)}
+    return Spectrum(q=q, eigenvalues=tuple(map(eigen.__getitem__, values)))
 
 
 def eigenvalues_via_tensor_dft(G: FccGraph, f: FunctionSpec) -> Spectrum:
@@ -146,20 +150,26 @@ def _krawtchouk(q: int, n: int, j: int, x: int) -> int:
 
 
 def _shell_spectra(f: FunctionSpec, t: int) -> set[tuple]:
-    """The distinct tuples (S_1(a), ..., S_W(a)) over the characters a of
-    F_q^k, where S_w(a) is the transform of the shell {z : wt(z) = w, f(z) !=
-    f(0)} and W = min(2t, k): one length-q^k transform per shell."""
+    """The distinct tuples (S_1(a), ..., S_W(a)) over the characters a of F_q^k,
+    S_w(a) the transform of the shell {z : wt(z) = w, f(z) != f(0)}, W = min(2t, k).
+    The shells ride as bit lanes of one row, 1 in lane w at each z of S_w.  A lane
+    counts under q^k < 2^(lane-1), so none carries into the next: one transform
+    gives every shell, and only its distinct entries are certified and split."""
     _check_t(t)
     q, k = f.q, f.k
     cls = coset_decomposition(f).class_of
-    spectra = []
-    for w in range(1, min(2 * t, k) + 1):
-        row = [0] * q**k
-        for z, _, _ in differences(q, k, w, w):
-            if cls[z] != cls[0]:
-                row[z] = 1
-        spectra.append(_row_spectrum(row, q).eigenvalues)
-    return set(zip(*spectra))
+    W = min(2 * t, k)
+    lane = (q**k).bit_length() + 1
+    row = [0] * q**k
+    for z, support, _ in differences(q, k, 1, W):
+        if cls[z] != cls[0]:
+            row[z] = 1 << (len(support) - 1) * lane
+    width, mask = W * lane, (1 << lane) - 1
+    pairs = (_coefficients(v, q, width) for v in set(_transform(row, q, width)))
+    return {
+        tuple((b0 >> s & mask) - (b1 >> s & mask) for s in range(0, width, lane))
+        for b0, b1 in pairs
+    }
 
 
 def eigenvalue_redundancy_bound(
@@ -173,8 +183,8 @@ def eigenvalue_redundancy_bound(
     The row itself is never built.  The eigenvalue at the character (a, b),
     a on the message and b on the parity, is
     q^r [b = 0] - 1 + sum_w S_w(a) * sum_{j <= 2t-w} K_j(wt(b); r):
-    the 2t message shells are transformed once, at length q^k, and each r
-    takes its extremes over their distinct tuples and over wt(b) = 0..r."""
+    the 2t shells ride as lanes of one length-q^k transform, decoded once per
+    distinct entry, and each r takes extremes over those and wt(b) = 0..r."""
     _require_linear(f, "eigenvalue redundancy bound")
     if r_max < 0:
         raise ValueError("r_max must be >= 0")

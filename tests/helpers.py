@@ -276,6 +276,30 @@ def slow_eigenvalue_bound(f, t, r_max):
     return SpectralBoundResult(value=r_max + 1, exhausted=True)
 
 
+def slow_shell_spectra(f, t):
+    """The distinct tuples (S_1(a), ..., S_W(a)), W = min(2t, k), over every
+    a in F_q^k, with no transform: S_w = {z : wt(z) = w, f(z) != f(0)} is
+    closed under scaling by F_q^*, so its character sum at a is
+    #{z in S_w : a.z = 0} - #{z in S_w : a.z != 0} / (q - 1)."""
+    q, k = f.q, f.k
+    words = all_words(q, k)
+    zero_value = f.eval(words[0])
+    shells = [
+        [z for z in words if slow_weight(z) == w and f.eval(z) != zero_value]
+        for w in range(1, min(2 * t, k) + 1)
+    ]
+    out = set()
+    for a in words:
+        sums = []
+        for shell in shells:
+            on = sum(1 for z in shell if sum(x * y for x, y in zip(a, z)) % q == 0)
+            off = len(shell) - on
+            assert off % (q - 1) == 0
+            sums.append(on - off // (q - 1))
+        out.add(tuple(sums))
+    return out
+
+
 def rows_from_lists(adj):
     """Bit-packed adjacency rows from a dense 0/1 matrix."""
     return [sum(1 << j for j, e in enumerate(row) if e) for row in adj]
