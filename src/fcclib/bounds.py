@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
 from time import monotonic
 
-from .distance import _fdm_search, _pairwise_plotkin, build_fdm
+from .distance import _fdm_search, _pairwise_plotkin
 from .errors import BudgetExceededError
 from .fields import (
     PrimeField,
@@ -23,13 +22,16 @@ from .fields import (
     differences,
     hamming_ball_size,
     hamming_distance,
+    negated_difference,
     translate,
+    weights,
 )
 from .functions import (
     FunctionSpec,
     _check_t,
     _class_leaders,
     _require_linear,
+    coset_decomposition,
     image_size,
     kernel_weight_sum,
 )
@@ -250,39 +252,35 @@ def optimality_check(
     """True when some choice of minimum-weight coset representatives makes
     the pairwise distance requirements collapse to the function-distance
     matrix — certifying that the FDM search upper bound is exactly optimal.
+
+    Picks u, v of two classes demand exactly their FDM entry when u - v is a
+    minimum-weight member of its class, or that class lies beyond 2t (entry
+    0).  A byte table over the q^k ranks marks those differences, and each
+    candidate is translated by the negated picks: no FDM is built.
     """
     _require_linear(f, "the optimality certificate")
     _check_t(t)
     q, k = f.q, f.k
-    need = 2 * t + 1
-    fdm = build_fdm(f, t)
-    vector = VectorIndex(q, k).vector
-
-    # Depth-first: one minimum-weight candidate per class (ranks, decoded when
-    # tried), fewest candidates first, checked against the chosen prefix.  A
-    # zero FDM entry puts two classes at least 2t+1 apart, where any two
-    # members agree with it, so only the non-zero entries are compared.  An
-    # explicit stack: tried[d] counts the candidates taken so far at depth d,
-    # so len(tried) == len(chosen) + 1 and no depth limit applies.
     candidates = _class_leaders(f)
+    wt = weights(q, k)
+    ok = bytearray(q**k)
+    for members, leaders in zip(coset_decomposition(f).classes, candidates):
+        for rank in members if wt[leaders[0]] > 2 * t else leaders:
+            ok[rank] = 1
+    # Depth-first, fewest candidates first, on an explicit stack of the
+    # untried candidates of each depth: len(stack) == len(chosen) + 1.
     m = len(candidates)
     order = sorted(range(m), key=lambda c: len(candidates[c]))
-    depth_of = sorted(range(m), key=order.__getitem__)  # class -> depth
-    chosen: list[tuple[int, ...]] = []
-    tried = [0]
+    chosen: list = []  # the negated picks, as Differences
+    stack = [iter(candidates[order[0]])]
     nodes = 0
-    while tried:
-        depth = len(chosen)
-        if depth == m:
-            return True
-        ci = order[depth]
-        i = tried[-1]
-        if i == len(candidates[ci]):
-            tried.pop()
+    while stack:
+        u = next(stack[-1], None)
+        if u is None:
+            stack.pop()
             if chosen:
                 chosen.pop()
             continue
-        tried[-1] = i + 1
         nodes += 1
         if nodes > node_budget:
             raise BudgetExceededError(
@@ -290,15 +288,11 @@ def optimality_check(
             )
         if deadline is not None and nodes & 1023 == 0 and monotonic() > deadline:
             raise BudgetExceededError("representative search exceeded the time budget")
-        vec = vector(candidates[ci][i])
-        row = fdm[ci]
-        if all(
-            need - hamming_distance(chosen[depth_of[b]], vec) == row[b]
-            for b in compress(range(m), row)
-            if depth_of[b] < depth
-        ):
-            chosen.append(vec)
-            tried.append(0)
+        if all(map(ok.__getitem__, translate(q, u, chosen))):
+            chosen.append(negated_difference(q, k, u))
+            if len(chosen) == m:
+                return True
+            stack.append(iter(candidates[order[len(chosen)]]))
     return False
 
 

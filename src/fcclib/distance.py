@@ -96,12 +96,13 @@ def _pairwise_order(f: FunctionSpec, t: int) -> int:
     """q^k, the order of the message-pairwise matrix, once t and the order
     pass their checks."""
     _check_t(t)
-    size = f.q**f.k
-    if size > PAIRWISE_MATRIX_LIMIT:
+    q, k = f.q, f.k
+    if q ** min(k, PAIRWISE_MATRIX_LIMIT.bit_length()) > PAIRWISE_MATRIX_LIMIT:
         raise ValueError(
-            f"q^k = {size} exceeds the pairwise-matrix limit {PAIRWISE_MATRIX_LIMIT}"
+            f"q^k for q={q}, k={k} exceeds the pairwise-matrix limit "
+            f"{PAIRWISE_MATRIX_LIMIT}"
         )
-    return size
+    return q**k
 
 
 def build_drm(f: FunctionSpec, t: int) -> DistanceMatrix:

@@ -154,6 +154,13 @@ def differences(q: int, n: int, lo: int, hi: int) -> list[Difference]:
     return out
 
 
+def negated_difference(q: int, n: int, rank: int) -> Difference:
+    """The sparse form of -v, v the length-n vector of rank ``rank``."""
+    support = tuple(p for p in (q ** (n - 1 - j) for j in range(n)) if rank // p % q)
+    symbols = tuple(q - rank // p % q for p in support)
+    return sum(map(mul, support, symbols)), support, symbols
+
+
 def translate(q: int, i: int, diffs) -> list[int]:
     """Ranks of i + z for each difference z in ``diffs``.
 

@@ -77,14 +77,17 @@ def _require_digit_field(q: int) -> None:
 def parse_digit_word(text: str, q: int) -> tuple[int, ...]:
     """Symbols of a digit-string word over F_q, one decimal digit each."""
     _require_digit_field(q)
-    if not text.isdigit():
+    if not (text.isascii() and text.isdecimal()):
         raise ValueError(f"expected a digit string, got {text!r}")
     return tuple(int(ch) for ch in text)
 
 
-def _parse_parity_word(text: str, q: int) -> tuple[int, ...]:
-    """A file's parity word: a digit string, or '-' for the empty word."""
-    return () if text == "-" else parse_digit_word(text, q)
+def _parse_parity_word(path, text: str, q: int) -> tuple[int, ...]:
+    """A parity word of the file ``path``, '-' for the empty word."""
+    try:
+        return () if text == "-" else parse_digit_word(text, q)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def parse_inline_rows(text: str) -> list[list[int]]:
@@ -194,7 +197,7 @@ def read_parity_file(path, q: int) -> ParityCode:
     lines = _data_lines(Path(path).read_text())
     if not lines:
         raise ValueError(f"{path}: empty parity file")
-    words = tuple(_parse_parity_word(line, q) for line in lines)
+    words = tuple(_parse_parity_word(path, line, q) for line in lines)
     return ParityCode(q=q, r=len(words[0]), words=words)
 
 
@@ -235,7 +238,7 @@ def read_encoder_file(path, f: FunctionSpec) -> FccEncoder:
         )
 
     def parse(text: str) -> tuple[int, ...]:
-        word = _parse_parity_word(text, q)
+        word = _parse_parity_word(path, text, q)
         if len(word) != r:
             raise ValueError(f"{path}: parity {text!r} does not have length {r}")
         return word

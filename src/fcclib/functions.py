@@ -178,9 +178,10 @@ def coset_decomposition(f: FunctionSpec) -> CosetDecomposition:
     are decoded to tuples.
     """
     q, k = f.q, f.k
-    size = q**k
-    if size > ENUMERATION_LIMIT:
-        raise ValueError(f"q^k = {size} exceeds the enumeration limit")
+    if q ** min(k, ENUMERATION_LIMIT.bit_length()) > ENUMERATION_LIMIT:
+        raise ValueError(
+            f"q^k for q={q}, k={k} exceeds the enumeration limit {ENUMERATION_LIMIT}"
+        )
     if f.mode == "table":
         values = f.table
     else:

@@ -4,8 +4,10 @@ Everything here is deliberately naive and independent of the library's own
 algorithms: itertools enumeration instead of rank arithmetic, dense nested
 loops instead of bit tricks, plain recursion instead of branch-and-bound.
 If a library result and an oracle result disagree, trust the oracle.
-The one exception is ``reference_mis``, the solver's own search in plain bit
-order, kept to check that the library's faster kernel explores the same tree.
+The exceptions are ``reference_mis``, the solver's own search in plain bit
+order, and ``reference_optimality``, the certificate's search against a built
+function-distance matrix, kept to check that the library's faster kernels
+explore the same trees.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ from fcclib import (
     linear_function,
     table_function,
 )
+from fcclib.distance import build_fdm
 from fcclib.fields import differences, translate
+from fcclib.functions import _class_leaders
 from fcclib.graph import connection_row
 from fcclib.spectrum import _row_spectrum
 
@@ -94,6 +98,40 @@ def slow_optimality(f, t):
         )
         for pick in itertools.product(*candidates)
     )
+
+
+def reference_optimality(f, t):
+    """(verdict, nodes) of ``optimality_check``'s depth-first search, run
+    against the built function-distance matrix with tuple distances: one
+    minimum-weight candidate per class, fewest candidates first, each pair
+    with a non-zero entry compared, one node per candidate tried."""
+    fdm = build_fdm(f, t)
+    vector = f.index.vector
+    candidates = _class_leaders(f)
+    order = sorted(range(len(candidates)), key=lambda c: len(candidates[c]))
+    picks = {}
+    nodes = 0
+
+    def extend(depth):
+        nonlocal nodes
+        if depth == len(order):
+            return True
+        c = order[depth]
+        for rank in candidates[c]:
+            nodes += 1
+            u = vector(rank)
+            if all(
+                2 * t + 1 - slow_distance(v, u) == fdm[c][b]
+                for b, v in picks.items()
+                if fdm[c][b]
+            ):
+                picks[c] = u
+                if extend(depth + 1):
+                    return True
+                del picks[c]
+        return False
+
+    return extend(0), nodes
 
 
 def slow_drm(f, t):

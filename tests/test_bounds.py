@@ -39,7 +39,14 @@ from fcclib.distance import _pairwise_plotkin
 from fcclib.fields import differences
 from fcclib.graph import _cayley_rows
 from fcclib.mis import max_independent_set
-from helpers import rand_linear, rand_table, slow_code_graph, slow_distance, slow_optimality
+from helpers import (
+    rand_linear,
+    rand_table,
+    reference_optimality,
+    slow_code_graph,
+    slow_distance,
+    slow_optimality,
+)
 
 ENTRY_NAMES = (
     "distance_2t",
@@ -267,6 +274,33 @@ def test_optimality_check_compares_only_nonzero_fdm_pairs(monkeypatch):
     assert len(calls) <= nonzero
 
 
+def test_optimality_check_matches_the_fdm_search_node_for_node():
+    # the leader-table test against the search on a built FDM: the same
+    # verdict, and the same node count, read off the budget it needs
+    # (a class exactly 2t away, or the sign of a pick, decides only a few
+    # percent of random cases, hence 120 functions per field at every t)
+    rng = random.Random(16)
+    cases = []
+    for q, k_min, k_max in ((2, 5, 8), (3, 3, 5), (5, 2, 4)):
+        for _ in range(40):
+            k = rng.randrange(k_min, k_max + 1)
+            f = rand_linear(rng, q, k, rng.randrange(1, k))
+            cases += [(f, t) for t in (1, 2, 3)]
+    for m in (6, 8):
+        proj = linear_function(2, [[int(j == i) for j in range(10)] for i in range(m)])
+        cases += [(proj, t) for t in (1, 2, 3)]
+    rows = [[int(j == i) for j in range(5)] + [2 * (i == 0)] for i in range(5)]
+    cases.append((linear_function(3, rows), 1))
+    verdicts = Counter()
+    for f, t in cases:
+        verdict, nodes = reference_optimality(f, t)
+        assert optimality_check(f, t, node_budget=nodes) is verdict
+        with pytest.raises(BudgetExceededError, match=f"exceeded {nodes - 1} nodes"):
+            optimality_check(f, t, node_budget=nodes - 1)
+        verdicts[verdict] += 1
+    assert verdicts[True] and verdicts[False]
+
+
 def test_optimality_budget_counts_unit_basis_nodes(ex_q2_k4):
     # four classes: the first descent takes one node per class
     assert optimality_check(ex_q2_k4, 1, node_budget=4) is True
@@ -427,15 +461,21 @@ def test_linear_averaging_integer_is_clamped_at_zero():
 
 def test_report_refuses_code_search_before_building_the_fdm(monkeypatch):
     # first 6 of 10 bits at t=2: the image has 64 values, above the search
-    # limit, so only the optimality check builds the matrix
+    # limit, and the optimality check reads the leader table, so no row of
+    # the report builds the matrix
     proj6 = linear_function(2, [[int(j == i) for j in range(10)] for i in range(6)])
     built = []
-    real = bounds.build_fdm
-    monkeypatch.setattr(bounds, "build_fdm", lambda f, t: built.append(t) or real(f, t))
+    real = fcclib.distance.build_fdm
+    for module in (fcclib.distance, bounds):  # whichever module would call it
+        monkeypatch.setattr(
+            module, "build_fdm", lambda f, t: built.append(t) or real(f, t),
+            raising=False,
+        )
     report = bound_report(proj6, 2, node_budget=2_000)
     entry = next(e for e in report.entries if e.name == "code_search")
     assert entry.note == "budget: matrix order 64 exceeds the search limit 20"
-    assert built == [2]
+    assert report.optimal is not None
+    assert built == []
 
 
 def test_fdm_upper_bound_refuses_before_building_the_fdm(monkeypatch):

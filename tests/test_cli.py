@@ -388,6 +388,20 @@ def test_construct_cosetwise_route(capsys, tmp_path, data_dir, shipped_dir, ex_q
     assert code == EX_NEGATIVE and payload["found"] is False
 
 
+def test_linear_domain_beyond_the_limits_is_refused_by_q_and_k(capsys, tmp_path):
+    # 2^20000 has more digits than Python converts to a string by default
+    func = tmp_path / "lin.func"
+    func.write_text("2 20000 1 linear\n" + " ".join(["1"] + ["0"] * 19_999) + "\n")
+    for command, limit in (
+        ("fdm", "enumeration limit 16777216"),
+        ("bounds", "enumeration limit 16777216"),
+        ("drm", "pairwise-matrix limit 4096"),
+    ):
+        code, out, err = run(capsys, command, "--func", str(func), "--t", "1")
+        assert code == EX_INPUT and out == ""
+        assert f"q^k for q=2, k=20000 exceeds the {limit}" in err
+
+
 def test_compare_routes(capsys, tmp_path):
     code, out, _ = run(capsys, "compare", "--d", "3", "--k-range", "2:4")
     assert code == EX_OK

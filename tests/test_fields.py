@@ -16,6 +16,7 @@ from fcclib.fields import (
     increment_masks,
     is_prime,
     matrix_rank,
+    negated_difference,
     translate,
     translate_mask,
     weights,
@@ -187,6 +188,20 @@ def test_differences_and_translate_match_symbolwise_addition():
             for i, u in enumerate(words):
                 sums = [tuple((a + b) % q for a, b in zip(u, z)) for z in zs]
                 assert translate(q, i, diffs) == [words.index(s) for s in sums]
+
+
+def test_negated_difference_subtracts_its_rank():
+    for q, n in [(2, 4), (3, 3), (5, 2)]:
+        words = all_words(q, n)
+        diffs = differences(q, n, 0, n)
+        by_rank = {z: (support, symbols) for z, support, symbols in diffs}
+        for v, word in enumerate(words):
+            z, support, symbols = negated_difference(q, n, v)
+            assert words[z] == tuple(-s % q for s in word)
+            assert (support, symbols) == by_rank[z]
+            for i, u in enumerate(words):
+                diff = tuple((a - b) % q for a, b in zip(u, word))
+                assert translate(q, i, [(z, support, symbols)]) == [words.index(diff)]
 
 
 def test_increment_adds_a_unit_vector_to_every_rank():

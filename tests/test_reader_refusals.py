@@ -4,7 +4,12 @@ for word."""
 import pytest
 
 from fcclib import linear_function
-from fcclib.formats import read_aq_table, read_encoder_file, read_function_file
+from fcclib.formats import (
+    read_aq_table,
+    read_encoder_file,
+    read_function_file,
+    read_parity_file,
+)
 
 
 def _refusal(tmp_path, name, text, reader):
@@ -48,9 +53,22 @@ def test_encoder_file_refusals(tmp_path):
         "3 2 1 1\n" + _lines([(0, 0)] + good[:-1]): "message rank 0 listed twice",
         "3 2 1 1\n" + _lines([(0, "00")] + good[1:]):
             "parity '00' does not have length 1",
+        "3 2 1 1\n" + _lines([(0, "\u0661")] + good[1:]):
+            "expected a digit string, got '\u0661'",
     }
     for i, (text, message) in enumerate(cases.items()):
         assert _refusal(tmp_path, f"e{i}.enc", text, reader) == message
+
+
+def test_parity_file_refuses_digits_outside_ascii(tmp_path):
+    # '²' is a digit to str.isdigit() and '١' (Arabic-Indic one) a decimal to
+    # int(); neither is a symbol of a digit-string word
+    for i, word in enumerate(["1\u00b21", "1\u06611"]):
+        path = tmp_path / f"p{i}.txt"
+        path.write_text(f"000\n{word}\n")
+        with pytest.raises(ValueError) as info:
+            read_parity_file(path, 2)
+        assert str(info.value) == f"{path}: expected a digit string, got {word!r}"
 
 
 def test_aq_table_refuses_rows_no_code_size_can_have(tmp_path):
