@@ -19,6 +19,7 @@ from .fields import (
     PrimeField,
     VectorIndex,
     _bitmask,
+    _count_over,
     differences,
     hamming_ball_size,
     hamming_distance,
@@ -35,7 +36,7 @@ from .functions import (
     image_size,
     kernel_weight_sum,
 )
-from .graph import EXACT_ALPHA_LIMIT, build_graph
+from .graph import EXACT_ALPHA_LIMIT, _cayley_rows, build_graph
 from .mis import DEFAULT_NODE_BUDGET, max_independent_set
 from .spectrum import eigenvalue_redundancy_bound
 
@@ -82,6 +83,11 @@ def a_q_exact(
     """Exact largest code size, by exhaustive independent-set search on the
     pairs-too-close conflict graph (every code is such an independent set).
 
+    The graph is a Cayley graph on F_q^n: row v is v + B, B the non-zero
+    words of weight below d, built from row 0 by whole-row digit shifts
+    (``graph._cayley_rows``).  A maximum code can be translated to hold 0,
+    so the solver searches, in place, only the non-zero words outside 0 + B.
+
     Conventions at the degenerate edges: length 0 admits one code word when
     d == 1 and none once d >= 2 (no symbols exist to separate two words);
     d > n likewise caps the code at a single word.
@@ -110,21 +116,16 @@ def a_q_exact(
         return AqEstimate(
             q=q, n=n, d=d, value=q ** (n - 1), kind="exact", witness=witness
         )
-    if q**n > AQ_EXACT_LIMIT:
+    over = _count_over(q, n, AQ_EXACT_LIMIT)
+    if over:
         raise ValueError(
-            f"exact search limited to {AQ_EXACT_LIMIT} words; q^n = {q ** n}"
+            f"exact search limited to {AQ_EXACT_LIMIT} words; q^n = {over}"
         )
-    # Words closer than d conflict.  A maximum code can be translated to hold
-    # zero, so search the words at distance >= d from it, rows as translates.
     ball = differences(q, n, 1, d - 1)
-    keep = sorted(set(range(1, q**n)).difference(z for z, _, _ in ball))
-    pos = {v: i for i, v in enumerate(keep)}
-    sub = [
-        _bitmask((pos[w] for w in translate(q, v, ball) if w in pos), len(keep))
-        for v in keep
-    ]
-    result = max_independent_set(sub, node_budget=node_budget)
-    chosen = [0] + [keep[i] for i in result.members]
+    rows = _cayley_rows(q, q**n, ball)
+    candidates = ((1 << q**n) - 2) ^ _bitmask((z for z, _, _ in ball), q**n)
+    result = max_independent_set(rows, node_budget=node_budget, candidates=candidates)
+    chosen = [0, *result.members]
     witness = tuple(index.vector(v) for v in sorted(chosen))
     for i in range(len(witness)):
         for j in range(i + 1, len(witness)):

@@ -23,6 +23,7 @@ from .fields import (
     PrimeField,
     VectorIndex,
     _bitmask,
+    _count_over,
     differences,
     hamming_distance,
     translate,
@@ -97,7 +98,7 @@ def _pairwise_order(f: FunctionSpec, t: int) -> int:
     pass their checks."""
     _check_t(t)
     q, k = f.q, f.k
-    if q ** min(k, PAIRWISE_MATRIX_LIMIT.bit_length()) > PAIRWISE_MATRIX_LIMIT:
+    if _count_over(q, k, PAIRWISE_MATRIX_LIMIT):
         raise ValueError(
             f"q^k for q={q}, k={k} exceeds the pairwise-matrix limit "
             f"{PAIRWISE_MATRIX_LIMIT}"

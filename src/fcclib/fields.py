@@ -31,6 +31,18 @@ FieldVec = tuple[int, ...]
 Difference = tuple[int, tuple[int, ...], tuple[int, ...]]
 
 
+def _count_over(q: int, e: int, limit: int) -> str | None:
+    """The text of q^e when it exceeds ``limit`` (q >= 2), else None.
+
+    With q >= 2, q^e passes the limit once e reaches the limit's bit length,
+    so capping e there decides it without a huge power.  A power of more
+    than 100 bits reads as 'q^e': its decimal form may be too long to print.
+    """
+    if q ** min(e, limit.bit_length()) <= limit:
+        return None
+    return str(q**e) if e * q.bit_length() <= 100 else f"{q}^{e}"
+
+
 def is_prime(n: int) -> bool:
     """Return True when ``n`` is a prime integer."""
     if n < 2:

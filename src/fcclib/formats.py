@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .bounds import AqEstimate, AqTable, BoundReport, CompareRow
 from .distance import DistanceMatrix, ParityCode, matrix_from_lists
-from .fields import ENUMERATION_LIMIT, is_prime
+from .fields import ENUMERATION_LIMIT, _count_over, is_prime
 from .functions import FunctionSpec, _check_domain, linear_function, table_function
 from .graph import FccEncoder, FccGraph
 from .spectrum import Spectrum
@@ -146,9 +146,7 @@ def read_function_file(path) -> FunctionSpec:
                 raise ValueError(f"{path}: matrix row {row} does not have length {k}")
         return linear_function(q, rows, k)
     if mode == "table":
-        # With q >= 2, q^k passes the limit once k reaches the limit's bit
-        # length, so capping k there decides it without a huge power.
-        if q ** min(k, ENUMERATION_LIMIT.bit_length()) > ENUMERATION_LIMIT:
+        if _count_over(q, k, ENUMERATION_LIMIT):
             raise ValueError(
                 f"{path}: a table over q={q}, k={k} would exceed the enumeration "
                 f"limit of {ENUMERATION_LIMIT} entries"
@@ -198,7 +196,17 @@ def read_parity_file(path, q: int) -> ParityCode:
     if not lines:
         raise ValueError(f"{path}: empty parity file")
     words = tuple(_parse_parity_word(path, line, q) for line in lines)
-    return ParityCode(q=q, r=len(words[0]), words=words)
+    r = len(words[0])
+    for line, word in zip(lines, words):
+        if max(word, default=0) >= q:
+            raise ValueError(
+                f"{path}: parity word {line!r} has symbols outside [0, {q})"
+            )
+        if len(word) != r:
+            raise ValueError(
+                f"{path}: parity word {line!r} has length {len(word)}, expected {r}"
+            )
+    return ParityCode(q=q, r=r, words=words)
 
 
 def render_parity_file(code: ParityCode, header_lines=()) -> str:

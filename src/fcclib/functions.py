@@ -21,6 +21,7 @@ from .fields import (
     FieldVec,
     PrimeField,
     VectorIndex,
+    _count_over,
     hamming_distance,
     matrix_rank,
     translate,
@@ -178,7 +179,7 @@ def coset_decomposition(f: FunctionSpec) -> CosetDecomposition:
     are decoded to tuples.
     """
     q, k = f.q, f.k
-    if q ** min(k, ENUMERATION_LIMIT.bit_length()) > ENUMERATION_LIMIT:
+    if _count_over(q, k, ENUMERATION_LIMIT):
         raise ValueError(
             f"q^k for q={q}, k={k} exceeds the enumeration limit {ENUMERATION_LIMIT}"
         )

@@ -31,6 +31,7 @@ from .fields import (
     Difference,
     VectorIndex,
     _bitmask,
+    _count_over,
     differences,
     hamming_distance,
     increment,
@@ -161,10 +162,10 @@ def connection_row(f: FunctionSpec, t: int, r: int) -> list[int]:
     _check_t(t)
     if r < 0:
         raise ValueError("r must be >= 0")
-    size = f.q ** (f.k + r)
-    if size > ENUMERATION_LIMIT:
-        raise ValueError(f"row would have {size} entries; limit is {ENUMERATION_LIMIT}")
-    row = [0] * size
+    over = _count_over(f.q, f.k + r, ENUMERATION_LIMIT)
+    if over:
+        raise ValueError(f"row would have {over} entries; limit is {ENUMERATION_LIMIT}")
+    row = [0] * f.q ** (f.k + r)
     for z, _, _ in _connection_set(f, t, r):
         row[z] = 1
     return row
@@ -175,12 +176,12 @@ def _vertex_count(f: FunctionSpec, r: int) -> int:
     is within GRAPH_VERTEX_LIMIT (read at call time)."""
     if r < 0:
         raise ValueError("r must be >= 0")
-    n_vertices = f.q ** (f.k + r)
-    if n_vertices > GRAPH_VERTEX_LIMIT:
+    over = _count_over(f.q, f.k + r, GRAPH_VERTEX_LIMIT)
+    if over:
         raise ValueError(
-            f"graph would have {n_vertices} vertices; limit is {GRAPH_VERTEX_LIMIT}"
+            f"graph would have {over} vertices; limit is {GRAPH_VERTEX_LIMIT}"
         )
-    return n_vertices
+    return f.q ** (f.k + r)
 
 
 def build_graph(f: FunctionSpec, t: int, r: int) -> FccGraph:

@@ -11,8 +11,13 @@ as ``p & ~radj[b]``.  Colors at or below ``best - size`` can never be branched
 on, so they are colored but not recorded; a recorded entry is one int,
 ``color << S | b``.  Clique levels live on an explicit stack, so no graph is
 too deep to search.  Branching order is fixed, so sizes, witnesses, and node
-counts are deterministic.  Working set: about n^2/8 bytes of rows and n^2/16
-of the single-bit table ``bit[b]``, 512 plus 256 MiB at 2^16 vertices.
+counts are deterministic.  ``candidates`` (a bitmask) restricts the search
+to a vertex subset in place: it is reversed like a row and becomes the root
+set, so the search is that of the induced subgraph re-indexed in vertex
+order, with members reported as the original vertex numbers.  Working set,
+sized by the full vertex count n whatever the subset: about n^2/8 bytes of
+rows and n^2/16 of the single-bit table ``bit[b]``, 512 plus 256 MiB at 2^16
+vertices.
 """
 
 from __future__ import annotations
@@ -44,6 +49,11 @@ class MisResult:
 _REVERSED = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
 
 
+def _reversed(mask: int, width: int) -> int:
+    """``mask`` on ``width`` bytes with bit i moved to bit 8*width-1-i."""
+    return int.from_bytes(mask.to_bytes(width, "little").translate(_REVERSED), "big")
+
+
 def _bits(mask: int) -> tuple[int, ...]:
     out = []
     while mask:
@@ -58,6 +68,7 @@ def max_independent_set(
     target: int | None = None,
     node_budget: int | None = DEFAULT_NODE_BUDGET,
     deadline: float | None = None,
+    candidates: int | None = None,
 ) -> MisResult:
     """Largest independent set of the graph given as per-vertex bitmasks.
 
@@ -65,19 +76,20 @@ def max_independent_set(
     that size is found (decision mode).  Exceeding ``node_budget``, or running
     past ``deadline`` (a time.monotonic() timestamp), raises
     BudgetExceededError carrying the best size found so far (lower bound) and
-    the root coloring bound (upper bound).
+    the root coloring bound (upper bound).  With ``candidates`` set, only the
+    vertices in that bitmask are searched.
     """
     n = len(adjacency)
-    if n == 0:
-        return MisResult(size=0, members=(), nodes=0, complete=True)
     full = (1 << n) - 1
+    pool = full if candidates is None else candidates & full
+    if not pool:
+        return MisResult(size=0, members=(), nodes=0, complete=True)
     width = (n + 7) // 8
     top = 8 * width
     # radj[top - v]: input row of v without self-loop, vertex u at bit top-1-u.
     radj = [0] * (top + 1)
     for v in range(n):
-        row = (adjacency[v] & full & ~(1 << v)).to_bytes(width, "little")
-        radj[top - v] = int.from_bytes(row.translate(_REVERSED), "big")
+        radj[top - v] = _reversed(adjacency[v] & full & ~(1 << v), width)
     bit = [0] + [1 << i for i in range(top)]
     shift = top.bit_length()
     low = (1 << shift) - 1
@@ -111,7 +123,7 @@ def max_independent_set(
         return order
 
     best = best_mask = nodes = 0
-    root_p = full << (top - n)
+    root_p = _reversed(pool, width)
     root = coloring(root_p, 0)
     root_bound = root[-1] >> shift
     # One frame per clique level: [candidates, entries left to branch on

@@ -5,8 +5,9 @@ algorithms: itertools enumeration instead of rank arithmetic, dense nested
 loops instead of bit tricks, plain recursion instead of branch-and-bound.
 If a library result and an oracle result disagree, trust the oracle.
 The exceptions are ``reference_mis``, the solver's own search in plain bit
-order, and ``reference_optimality``, the certificate's search against a built
-function-distance matrix, kept to check that the library's faster kernels
+order, ``reference_optimality``, the certificate's search against a built
+function-distance matrix, and ``reference_code_graph``, the A_q code graph
+built one word at a time, kept to check that the library's faster kernels
 explore the same trees.
 """
 
@@ -197,6 +198,21 @@ def slow_code_graph(q, n, d):
     return rows_from_lists(
         [[int(u != v and slow_distance(u, v) < d) for v in words] for u in words]
     )
+
+
+def reference_code_graph(q, n, d):
+    """The A_q code graph as a_q_exact built it word by word: the non-zero
+    words ``keep`` at distance >= d from zero, and for each one the bitmask,
+    over positions in ``keep``, of its translates by the non-zero words of
+    weight below d that stay in ``keep``."""
+    ball = differences(q, n, 1, d - 1)
+    keep = sorted(set(range(1, q**n)).difference(z for z, _, _ in ball))
+    pos = {v: i for i, v in enumerate(keep)}
+    sub = [
+        sum(1 << pos[w] for w in translate(q, v, ball) if w in pos)
+        for v in keep
+    ]
+    return keep, sub
 
 
 def slow_search_at_length(entries, q, r):

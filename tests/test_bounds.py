@@ -36,12 +36,13 @@ from fcclib import (
     zll_bound,
 )
 from fcclib.distance import _pairwise_plotkin
-from fcclib.fields import differences
+from fcclib.fields import VectorIndex, differences
 from fcclib.graph import _cayley_rows
-from fcclib.mis import max_independent_set
+from fcclib.mis import _bits, max_independent_set
 from helpers import (
     rand_linear,
     rand_table,
+    reference_code_graph,
     reference_optimality,
     slow_code_graph,
     slow_distance,
@@ -91,6 +92,30 @@ def test_exact_code_graph_matches_naive_distance_graph():
         )
 
 
+def test_code_graph_rows_restricted_to_the_candidates_match_the_word_builder():
+    for q, n, d in [(2, 5, 3), (2, 7, 3), (2, 8, 4), (2, 9, 5), (3, 3, 2),
+                    (3, 4, 3), (3, 5, 4), (5, 3, 2), (5, 3, 3)]:
+        keep, sub = reference_code_graph(q, n, d)
+        candidates = sum(1 << v for v in keep)
+        rows = _cayley_rows(q, q**n, differences(q, n, 1, d - 1))
+        pos = {v: i for i, v in enumerate(keep)}
+        restricted = [
+            sum(1 << pos[w] for w in _bits(rows[v] & candidates)) for v in keep
+        ]
+        assert restricted == sub
+        # the in-place search of the rows is the search of the re-indexed graph
+        got = max_independent_set(rows, candidates=candidates)
+        want = max_independent_set(sub)
+        assert (got.size, got.nodes, got.complete) == (
+            want.size, want.nodes, want.complete
+        )
+        assert got.members == tuple(keep[i] for i in want.members)
+        if d > 2:  # a_q_exact answers d = 2 in closed form
+            index = VectorIndex(q, n)
+            ranks = [index.rank(w) for w in a_q_exact(q, n, d).witness]
+            assert ranks == sorted([0, *got.members])
+
+
 def test_exact_degenerate_parameters():
     assert a_q_exact(2, 0, 1).value == 1
     assert a_q_exact(2, 0, 2).value == 0
@@ -103,6 +128,10 @@ def test_exact_degenerate_parameters():
         a_q_exact(2, 3, 0)
     with pytest.raises(ValueError):
         a_q_exact(2, 13, 3)  # 2^13 words exceed the exact-search limit
+    # a space too large to print is named by its power
+    with pytest.raises(ValueError) as info:
+        a_q_exact(2, 20_000, 5)
+    assert str(info.value) == "exact search limited to 4096 words; q^n = 2^20000"
 
 
 def test_upper_bound_closed_forms():

@@ -262,6 +262,26 @@ def test_spectrum_routes(capsys, monkeypatch, data_dir):
     assert "32 entries; limit is 16" in err
 
 
+def _wide_linear_args(tmp_path):
+    """Flags for a linear f with one row of 20,000 symbols at t=1, r=0:
+    q^(k+r) has more digits than int-to-str conversion allows."""
+    path = tmp_path / "lin.func"
+    path.write_text("2 20000 1 linear\n" + " ".join("1" * 20_000) + "\n")
+    return "--func", str(path), "--t", "1", "--r", "0"
+
+
+def test_alpha_refuses_a_vertex_count_too_long_to_print(capsys, tmp_path):
+    code, out, err = run(capsys, "alpha", *_wide_linear_args(tmp_path))
+    assert code == EX_INPUT and out == ""
+    assert "graph would have 2^20000 vertices; limit is 65536" in err
+
+
+def test_spectrum_refuses_a_row_too_long_to_print(capsys, tmp_path):
+    code, out, err = run(capsys, "spectrum", *_wide_linear_args(tmp_path))
+    assert code == EX_INPUT and out == ""
+    assert "row would have 2^20000 entries; limit is 16777216" in err
+
+
 def test_construct_verify_decode_chain(capsys, tmp_path, data_dir, ex_q2_k4):
     func = str(data_dir / "ex_q2_k4.func")
     enc_path = tmp_path / "encoder.txt"

@@ -7,6 +7,7 @@ import pytest
 
 from fcclib import (
     BudgetExceededError,
+    MisResult,
     a_q_exact,
     build_graph,
     extract_fcc,
@@ -122,6 +123,37 @@ def test_node_budget_exhaustion_keeps_bounds_honest():
     assert info.value.best_lower <= alpha <= info.value.best_upper
 
 
+def test_candidate_search_is_the_induced_subgraph_search():
+    # Empty, full and random candidate masks (with stray bits at or above n),
+    # each with node budgets None, 5 and 50: the in-place search equals the
+    # search of the induced subgraph re-indexed in vertex order.
+    rng = random.Random(20261020)
+    for trial in range(300):
+        n = rng.randrange(0, 70)
+        rows = rand_graph(rng, n, rng.choice([0.1, 0.3, 0.5, 0.8]))
+        kind = trial % 3
+        if kind == 0:
+            mask = 0
+        elif kind == 1:
+            mask = (1 << n) - 1
+        else:
+            mask = rng.getrandbits(n + 8)
+        budget = (None, 5, 50)[trial // 3 % 3]
+        keep = [v for v in range(n) if mask >> v & 1]
+        sub = [
+            sum(1 << j for j, u in enumerate(keep) if rows[v] >> u & 1)
+            for v in keep
+        ]
+        want = _outcome(max_independent_set, sub, node_budget=budget)
+        if isinstance(want, MisResult):
+            members = tuple(keep[i] for i in want.members)
+            want = MisResult(want.size, members, want.nodes, want.complete)
+        got = _outcome(
+            max_independent_set, rows, node_budget=budget, candidates=mask
+        )
+        assert got == want
+
+
 def test_deadline_interrupts_long_search():
     rows = _hard_graph()
     finished = max_independent_set(rows)
@@ -193,6 +225,15 @@ PINNED_AQ = {
     (3, 5, 4): (0, 49, 97, 140, 200, 240),
 }
 PINNED_AQ_BUDGET_EXIT = ((2, 10, 5), 2_000, (8, 42))
+# Larger code graphs, outside the benchmark: (best_lower, best_upper) of the
+# search at node budget 200.
+PINNED_AQ_LARGE_BUDGET_EXITS = {
+    (2, 11, 5): (18, 99),
+    (2, 12, 5): (21, 219),
+    (2, 12, 7): (3, 22),
+    (3, 7, 4): (30, 80),
+    (5, 5, 3): (81, 124),
+}
 PINNED_Q3K5_PARITY = (
     "222333777444888000666111555333777222888000444111555666777222333"
     "000444888555666111444888000666111555222333777888000444111555666"
@@ -211,6 +252,13 @@ def test_a_q_exact_searches_are_pinned():
     with pytest.raises(BudgetExceededError) as info:
         a_q_exact(*qnd, node_budget=budget)
     assert (info.value.best_lower, info.value.best_upper) == bounds
+
+
+def test_larger_a_q_budget_exits_are_pinned():
+    for qnd, bounds in PINNED_AQ_LARGE_BUDGET_EXITS.items():
+        with pytest.raises(BudgetExceededError) as info:
+            a_q_exact(*qnd, node_budget=200)
+        assert (info.value.best_lower, info.value.best_upper) == bounds
 
 
 def test_extract_fcc_search_is_pinned():

@@ -60,6 +60,17 @@ def test_encoder_file_refusals(tmp_path):
         assert _refusal(tmp_path, f"e{i}.enc", text, reader) == message
 
 
+def test_parity_file_refusals(tmp_path):
+    reader = lambda path: read_parity_file(path, 2)  # noqa: E731
+    cases = {
+        "000\n200\n": "parity word '200' has symbols outside [0, 2)",
+        "0\n00\n": "parity word '00' has length 2, expected 1",
+        "-\n1\n": "parity word '1' has length 1, expected 0",
+    }
+    for i, (text, message) in enumerate(cases.items()):
+        assert _refusal(tmp_path, f"p{i}.txt", text, reader) == message
+
+
 def test_parity_file_refuses_digits_outside_ascii(tmp_path):
     # '²' is a digit to str.isdigit() and '١' (Arabic-Indic one) a decimal to
     # int(); neither is a symbol of a digit-string word
