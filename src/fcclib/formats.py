@@ -83,11 +83,14 @@ def parse_digit_word(text: str, q: int) -> tuple[int, ...]:
 
 
 def _parse_parity_word(path, text: str, q: int) -> tuple[int, ...]:
-    """A parity word of the file ``path``, '-' for the empty word."""
+    """A parity word over F_q of the file ``path``, '-' for the empty word."""
     try:
-        return () if text == "-" else parse_digit_word(text, q)
+        word = () if text == "-" else parse_digit_word(text, q)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    if max(word, default=0) >= q:
+        raise ValueError(f"{path}: parity word {text!r} has symbols outside [0, {q})")
+    return word
 
 
 def parse_inline_rows(text: str) -> list[list[int]]:
@@ -198,10 +201,6 @@ def read_parity_file(path, q: int) -> ParityCode:
     words = tuple(_parse_parity_word(path, line, q) for line in lines)
     r = len(words[0])
     for line, word in zip(lines, words):
-        if max(word, default=0) >= q:
-            raise ValueError(
-                f"{path}: parity word {line!r} has symbols outside [0, {q})"
-            )
         if len(word) != r:
             raise ValueError(
                 f"{path}: parity word {line!r} has length {len(word)}, expected {r}"

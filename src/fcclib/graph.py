@@ -27,7 +27,6 @@ from functools import cached_property
 
 from .errors import CodeNotFoundError, DecodingFailureError
 from .fields import (
-    ENUMERATION_LIMIT,
     Difference,
     VectorIndex,
     _bitmask,
@@ -151,24 +150,6 @@ def _cayley_rows(q: int, n_vertices: int, diffs: list[Difference]) -> list[int]:
             rows.append(increment(q, rows[j], place, masks))
         place *= q
     return rows
-
-
-def connection_row(f: FunctionSpec, t: int, r: int) -> list[int]:
-    """Row 0 of the conflict graph's adjacency matrix, without building it.
-
-    Entry for vertex (u, p): 1 when u == 0 and p != 0, or when f(u) != f(0)
-    and weight(u) + weight(p) < 2t+1.
-    """
-    _check_t(t)
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    over = _count_over(f.q, f.k + r, ENUMERATION_LIMIT)
-    if over:
-        raise ValueError(f"row would have {over} entries; limit is {ENUMERATION_LIMIT}")
-    row = [0] * f.q ** (f.k + r)
-    for z, _, _ in _connection_set(f, t, r):
-        row[z] = 1
-    return row
 
 
 def _vertex_count(f: FunctionSpec, r: int) -> int:

@@ -1,31 +1,28 @@
-"""Eigenvalues of conflict graphs for linear functions, from one adjacency row.
+"""Eigenvalues of conflict graphs for linear functions, from the message shells.
 
-For linear functions the conflict graph is a Cayley graph on F_q^n: its
+For linear functions the conflict graph is a Cayley graph on F_q^(k+r): its
 adjacency matrix is invariant under jointly translating row and column
-indices, so the multidimensional DFT over (Z_q)^n diagonalizes it and the
-whole spectrum is the transform of row 0, ``graph.connection_row``.  The
+indices, so the characters of (Z_q)^(k+r) diagonalize it.  The connection set
+splits over the message and parity parts: the 2t message shells S_w (weight
+w, outside f's zero class) ride as bit lanes of one length-q^k transform, and
+the eigenvalue at the character (a, b) combines S_w(a) with q-ary Krawtchouk
+sums over the parity weight wt(b).  No length-q^(k+r) row is built.  The
 transform runs in the group ring Z[x]/(x^q - 1), so every step is exact
 integer arithmetic; the connection set is closed under scaling by F_q^*, which
-makes every eigenvalue an integer, and each one is checked to be so.
-
-The eigenvalue redundancy scan needs only the extreme eigenvalues, and those
-split over the message and parity parts of the connection set: the 2t message
-shells S_w (weight w, outside f's zero class) ride as bit lanes of one length-q^k
-transform, decoded once per distinct entry, and each r combines them with q-ary
-Krawtchouk sums over the parity weights, so no length-q^(k+r) row is built.
+makes every eigenvalue an integer, and each distinct transform entry is
+checked to be so.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import comb
-from operator import mul, sub
+from operator import mul
 
-from .fields import ENUMERATION_LIMIT, differences
+from .fields import ENUMERATION_LIMIT, _count_over, differences, weights
 from .functions import FunctionSpec, _check_t, _require_linear, coset_decomposition
-from .graph import FccGraph, connection_row
 
 
 @dataclass(frozen=True)
@@ -88,34 +85,6 @@ def _coefficients(v: int, q: int, width: int) -> tuple[int, int]:
     return v & mask, coeffs.pop()
 
 
-def _row_spectrum(row: list[int], q: int) -> Spectrum:
-    """Cayley-graph spectrum of the 0/1 first row ``row``, decoded once per value."""
-    width = len(row).bit_length() + 1
-    values = _transform(row, q, width)
-    eigen = {v: sub(*_coefficients(v, q, width)) for v in set(values)}
-    return Spectrum(q=q, eigenvalues=tuple(map(eigen.__getitem__, values)))
-
-
-def eigenvalues_via_tensor_dft(G: FccGraph, f: FunctionSpec) -> Spectrum:
-    """Full spectrum of G from its first adjacency row.
-
-    Valid for linear f only: the translation symmetry that makes the first
-    row determine every eigenvalue does not hold for table functions.
-    """
-    _require_linear(f, "tensor-DFT spectrum")
-    if f.q != G.q:
-        raise ValueError("function and graph disagree on the field size")
-    row0 = G.rows[0]
-    row = [row0 >> x & 1 for x in range(G.n_vertices)]
-    return _row_spectrum(row, G.q)
-
-
-def spectrum_of(f: FunctionSpec, t: int, r: int) -> Spectrum:
-    """Spectrum of the conflict graph, computed without building the graph."""
-    _require_linear(f, "tensor-DFT spectrum")
-    return _row_spectrum(connection_row(f, t, r), f.q)
-
-
 def cvetkovic_alpha_bound(S: Spectrum, n_vertices: int):
     """Eigenvalue upper bound on the independence number, as an exact
     Fraction: -n * lambda_min / (lambda_max - lambda_min); n for an edgeless
@@ -149,9 +118,10 @@ def _krawtchouk(q: int, n: int, j: int, x: int) -> int:
     )
 
 
-def _shell_spectra(f: FunctionSpec, t: int) -> set[tuple]:
-    """The distinct tuples (S_1(a), ..., S_W(a)) over the characters a of F_q^k,
-    S_w(a) the transform of the shell {z : wt(z) = w, f(z) != f(0)}, W = min(2t, k).
+def _shell_transform(f: FunctionSpec, t: int) -> tuple[list[int], dict[int, tuple]]:
+    """The length-q^k transform of the message shells, and the tuple
+    (S_1(a), ..., S_W(a)) of each distinct entry, W = min(2t, k), S_w(a) the
+    transform of the shell {z : wt(z) = w, f(z) != f(0)} at the character a.
     The shells ride as bit lanes of one row, 1 in lane w at each z of S_w.  A lane
     counts under q^k < 2^(lane-1), so none carries into the next: one transform
     gives every shell, and only its distinct entries are certified and split."""
@@ -165,11 +135,53 @@ def _shell_spectra(f: FunctionSpec, t: int) -> set[tuple]:
         if cls[z] != cls[0]:
             row[z] = 1 << (len(support) - 1) * lane
     width, mask = W * lane, (1 << lane) - 1
-    pairs = (_coefficients(v, q, width) for v in set(_transform(row, q, width)))
-    return {
-        tuple((b0 >> s & mask) - (b1 >> s & mask) for s in range(0, width, lane))
-        for b0, b1 in pairs
-    }
+    entries = _transform(row, q, width)
+    shells = {}
+    for v in set(entries):
+        b0, b1 = _coefficients(v, q, width)
+        shells[v] = tuple(
+            (b0 >> s & mask) - (b1 >> s & mask) for s in range(0, width, lane)
+        )
+    return entries, shells
+
+
+def _shell_spectra(f: FunctionSpec, t: int) -> set[tuple]:
+    """The distinct tuples (S_1(a), ..., S_W(a)) over the characters a of F_q^k."""
+    return set(_shell_transform(f, t)[1].values())
+
+
+def _eigenvalues(q: int, t: int, r: int, shells: list[tuple]) -> list[list[int]]:
+    """Row x = 0..r lists, for each shell tuple (S_1(a), ..., S_W(a)) of
+    ``shells`` in order, the eigenvalue at the character (a, b) with wt(b) = x,
+    a on the message and b on the parity:
+    q^r [b = 0] - 1 + sum_w S_w(a) * sum_{j <= 2t-w} K_j(wt(b); r)."""
+    table = []
+    for x in range(r + 1):
+        # Shell w pairs with the parity words of weight at most 2t - w.
+        kraw = accumulate(_krawtchouk(q, r, j, x) for j in range(2 * t))
+        sums = list(kraw)[::-1]
+        base = (q**r if x == 0 else 0) - 1
+        table.append([base + sum(map(mul, s, sums)) for s in shells])
+    return table
+
+
+def spectrum_of(f: FunctionSpec, t: int, r: int) -> Spectrum:
+    """Spectrum of the conflict graph, computed without building the graph or
+    its first row: entry a * q^r + b is the eigenvalue at the character (a, b)."""
+    _require_linear(f, "tensor-DFT spectrum")
+    _check_t(t)
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    over = _count_over(f.q, f.k + r, ENUMERATION_LIMIT)
+    if over:
+        raise ValueError(f"row would have {over} entries; limit is {ENUMERATION_LIMIT}")
+    entries, shells = _shell_transform(f, t)
+    table = _eigenvalues(f.q, t, r, list(shells.values()))
+    wt = weights(f.q, r)
+    # Each distinct entry expands once into its q^r eigenvalues, b in rank order.
+    expand = {v: [table[x][i] for x in wt] for i, v in enumerate(shells)}
+    eigen = chain.from_iterable(map(expand.__getitem__, entries))
+    return Spectrum(q=f.q, eigenvalues=tuple(eigen))
 
 
 def eigenvalue_redundancy_bound(
@@ -180,29 +192,20 @@ def eigenvalue_redundancy_bound(
     The scan stops early, as exhausted, at the first r whose connection row
     would have more than ``ENUMERATION_LIMIT`` entries.
 
-    The row itself is never built.  The eigenvalue at the character (a, b),
-    a on the message and b on the parity, is
-    q^r [b = 0] - 1 + sum_w S_w(a) * sum_{j <= 2t-w} K_j(wt(b); r):
-    the 2t shells ride as lanes of one length-q^k transform, decoded once per
-    distinct entry, and each r takes extremes over those and wt(b) = 0..r."""
+    The row itself is never built: each r takes extremes over the eigenvalues
+    of the distinct shell tuples (``_eigenvalues``) at wt(b) = 0..r."""
     _require_linear(f, "eigenvalue redundancy bound")
     if r_max < 0:
         raise ValueError("r_max must be >= 0")
     q = f.q
     shells = None
     for r in range(r_max + 1):
-        if q ** (f.k + r) > ENUMERATION_LIMIT:
+        if _count_over(q, f.k + r, ENUMERATION_LIMIT):
             return SpectralBoundResult(value=r, exhausted=True)
         # Built once, after the first size check has passed.
-        shells = shells or _shell_spectra(f, t)
-        values = []
-        for x in range(r + 1):  # the weight of b
-            # Shell w pairs with the parity words of weight at most 2t - w.
-            kraw = accumulate(_krawtchouk(q, r, j, x) for j in range(2 * t))
-            weights = list(kraw)[::-1]
-            base = (q**r if x == 0 else 0) - 1
-            values += [base + sum(map(mul, s, weights)) for s in shells]
-        lo, hi = min(values), max(values)
+        shells = shells or list(_shell_spectra(f, t))
+        table = _eigenvalues(q, t, r, shells)
+        lo, hi = min(map(min, table)), max(map(max, table))
         # An edgeless graph (flat spectrum) makes every vertex set independent.
         if hi == lo or q**r >= 1 - Fraction(hi, lo):
             return SpectralBoundResult(value=r, exhausted=False)

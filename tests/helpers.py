@@ -5,16 +5,18 @@ algorithms: itertools enumeration instead of rank arithmetic, dense nested
 loops instead of bit tricks, plain recursion instead of branch-and-bound.
 If a library result and an oracle result disagree, trust the oracle.
 The exceptions are ``reference_mis``, the solver's own search in plain bit
-order, ``reference_optimality``, the certificate's search against a built
-function-distance matrix, and ``reference_code_graph``, the A_q code graph
-built one word at a time, kept to check that the library's faster kernels
-explore the same trees.
+order, ``row_spectrum``, the library's group-ring transform run on a whole
+length-q^(k+r) row instead of the message shells, ``reference_optimality``,
+the certificate's search against a built function-distance matrix, and
+``reference_code_graph``, the A_q code graph built one word at a time, kept
+to check that the library's faster kernels explore the same trees.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import sub
 
 import fcclib.spectrum
 from fcclib import (
@@ -28,8 +30,7 @@ from fcclib import (
 from fcclib.distance import build_fdm
 from fcclib.fields import differences, translate
 from fcclib.functions import _class_leaders
-from fcclib.graph import connection_row
-from fcclib.spectrum import _row_spectrum
+from fcclib.spectrum import _coefficients
 
 
 def all_words(q, n):
@@ -317,14 +318,38 @@ def slow_block_circulant(G):
     return None
 
 
+def connection_row(f, t, r):
+    """Row 0 of the conflict graph as a 0/1 list, word by word from the edge
+    rule: (u, p) is adjacent to the zero word when u = 0 and p != 0, or when
+    f(u) != f(0) and wt(u) + wt(p) < 2t + 1."""
+    zero = f.eval((0,) * f.k)
+    row = []
+    for u in all_words(f.q, f.k):
+        crosses = f.eval(u) != zero
+        for p in all_words(f.q, r):
+            weight = slow_weight(u) + slow_weight(p)
+            row.append(int((not any(u) and any(p)) or (crosses and weight <= 2 * t)))
+    return row
+
+
+def row_spectrum(row, q):
+    """Every eigenvalue of the Cayley graph on F_q^n whose 0/1 row 0 is
+    ``row``, in rank order: the group-ring transform of the whole
+    length-q^n row, each distinct entry certified an integer and decoded."""
+    width = len(row).bit_length() + 1
+    values = fcclib.spectrum._transform(row, q, width)
+    eigen = {v: sub(*_coefficients(v, q, width)) for v in set(values)}
+    return tuple(map(eigen.__getitem__, values))
+
+
 def slow_eigenvalue_bound(f, t, r_max):
     """The eigenvalue redundancy scan on whole connection rows: the spectrum
     of the length-q^(k+r) row 0 of every conflict graph, r = 0..r_max."""
     for r in range(r_max + 1):
         if f.q ** (f.k + r) > fcclib.spectrum.ENUMERATION_LIMIT:
             return SpectralBoundResult(value=r, exhausted=True)
-        spec = _row_spectrum(connection_row(f, t, r), f.q)
-        lo, hi = spec.lambda_min, spec.lambda_max
+        spec = row_spectrum(connection_row(f, t, r), f.q)
+        lo, hi = min(spec), max(spec)
         if hi == lo or f.q**r >= 1 - Fraction(hi, lo):
             return SpectralBoundResult(value=r, exhausted=False)
     return SpectralBoundResult(value=r_max + 1, exhausted=True)

@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 
 import fcclib.distance
-import fcclib.graph
 import fcclib.spectrum
 from fcclib import (
     AqEstimate,
@@ -562,13 +561,16 @@ def test_pairwise_averaging_equals_the_drm_average(monkeypatch):
 
 
 def test_report_builds_no_drm_and_no_connection_row(monkeypatch):
-    calls = []
-    for module in (fcclib.distance, bounds, fcclib.graph, fcclib.spectrum):
-        for name in ("build_drm", "connection_row"):
-            real = getattr(module, name, None)
-            if real is not None:
-                wrapped = lambda *a, real=real, name=name: calls.append(name) or real(*a)
-                monkeypatch.setattr(module, name, wrapped)
+    calls, lengths = [], []
+    for module in (fcclib.distance, bounds):
+        real = getattr(module, "build_drm", None)
+        if real is not None:
+            wrapped = lambda *a, real=real: calls.append("build_drm") or real(*a)
+            monkeypatch.setattr(module, "build_drm", wrapped)
+    # No transform of a length-q^(k+r) row: every call is on the q^k messages.
+    transform = fcclib.spectrum._transform
+    wrapped = lambda v, *a: lengths.append(len(v)) or transform(v, *a)
+    monkeypatch.setattr(fcclib.spectrum, "_transform", wrapped)
     proj6 = _bounds_cells()[1][0]
     report = bound_report(proj6, 2, node_budget=2_000)
     assert {e.name for e in report.entries if e.integer is not None} >= {
@@ -579,6 +581,7 @@ def test_report_builds_no_drm_and_no_connection_row(monkeypatch):
     report = bound_report(table, 1)
     assert next(e for e in report.entries if e.name == "pairwise_averaging").integer
     assert calls == []
+    assert lengths and max(lengths) <= proj6.q**proj6.k
 
 
 def test_report_on_a_graph_whose_alpha_exceeds_the_recursion_limit():

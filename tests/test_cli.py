@@ -8,7 +8,7 @@ import pytest
 
 import fcclib.cli
 import fcclib.distance
-import fcclib.graph
+import fcclib.spectrum
 from fcclib import (
     __version__,
     build_cosetwise_encoder,
@@ -253,13 +253,25 @@ def test_spectrum_routes(capsys, monkeypatch, data_dir):
     assert len(lines) == 81
     assert sum(int(l.split(",")[1]) for l in lines) == 0  # printed as integers
 
-    monkeypatch.setattr(fcclib.graph, "ENUMERATION_LIMIT", 2**4)
+    monkeypatch.setattr(fcclib.spectrum, "ENUMERATION_LIMIT", 2**4)
     code, out, err = run(
         capsys, "spectrum", "--func", str(data_dir / "spectral_q2_k3.func"), "--t", "1",
         "--r", "2",
     )
     assert code == EX_INPUT and out == ""
     assert "32 entries; limit is 16" in err
+
+
+def test_spectrum_csv_matches_golden(capsys, data_dir, golden_dir):
+    # Every eigenvalue of the 81-vertex graph, in index-rank order.
+    code, out, _ = run(
+        capsys, "spectrum", "--func", str(data_dir / "ex_q3_k3.func"), "--t", "1",
+        "--r", "1",
+    )
+    assert code == EX_OK
+    want = (golden_dir / "spectrum_q3_k3_t1_r1.csv").read_text()
+    body = lambda text: [l for l in text.splitlines() if not l.startswith("#")]  # noqa: E731
+    assert body(out) == body(want)
 
 
 def _wide_linear_args(tmp_path):

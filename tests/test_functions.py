@@ -37,7 +37,6 @@ from fcclib.functions import (
     kernel_weight_sum,
     min_weight_representatives,
 )
-from fcclib.graph import connection_row
 from helpers import (
     all_words,
     rand_linear,
@@ -517,7 +516,6 @@ T_ENTRY_POINTS = {
     "build_fdm": lambda f, t: build_fdm(f, t),
     "fdm_upper_bound": lambda f, t: fdm_upper_bound(f, t),
     "build_graph": lambda f, t: build_graph(f, t, 0),
-    "connection_row": lambda f, t: connection_row(f, t, 0),
     "spectrum_of": lambda f, t: spectrum_of(f, t, 0),
     "eigenvalue_redundancy_bound": lambda f, t: eigenvalue_redundancy_bound(f, t, 2),
     "theorem1_bound": lambda f, t: theorem1_bound(f, t, 1),

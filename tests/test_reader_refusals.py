@@ -55,6 +55,8 @@ def test_encoder_file_refusals(tmp_path):
             "parity '00' does not have length 1",
         "3 2 1 1\n" + _lines([(0, "\u0661")] + good[1:]):
             "expected a digit string, got '\u0661'",
+        "3 2 1 1\n" + _lines([(0, 5)] + good[1:]):
+            "parity word '5' has symbols outside [0, 3)",
     }
     for i, (text, message) in enumerate(cases.items()):
         assert _refusal(tmp_path, f"e{i}.enc", text, reader) == message

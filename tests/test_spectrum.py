@@ -7,7 +7,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import fcclib.graph
 import fcclib.spectrum
 from fcclib import (
     SpectralBoundResult,
@@ -16,13 +15,17 @@ from fcclib import (
     build_graph,
     cvetkovic_alpha_bound,
     eigenvalue_redundancy_bound,
-    eigenvalues_via_tensor_dft,
     independence_number,
     linear_function,
     spectrum_of,
 )
-from fcclib.spectrum import connection_row
-from helpers import lists_from_rows, rand_linear, slow_eigenvalue_bound
+from helpers import (
+    connection_row,
+    lists_from_rows,
+    rand_linear,
+    row_spectrum,
+    slow_eigenvalue_bound,
+)
 
 
 def _numpy_eigenvalues(G):
@@ -66,7 +69,59 @@ def test_spectrum_matches_dense_eigensolver():
         G = build_graph(f, t, r)
         S = spectrum_of(f, t, r)
         assert _spectra_match(S, _numpy_eigenvalues(G))
-        assert eigenvalues_via_tensor_dft(G, f).eigenvalues == S.eigenvalues
+        row = [G.rows[0] >> x & 1 for x in range(G.n_vertices)]
+        assert row_spectrum(row, f.q) == S.eigenvalues
+
+
+def test_spectrum_equals_whole_row_transform():
+    # The shell formula against the transform of the built graph's row 0,
+    # entry by entry in rank order, including l = 0 and 2t >= k.
+    rng = random.Random(20261019)
+    cases = [(linear_function(q, [], k=2), 1, 2) for q in (2, 3, 5, 7)]
+    while len(cases) < 64:
+        q = rng.choice([2, 3, 5, 7])
+        k = rng.randrange(1, 5)
+        r = rng.randrange(0, 5)
+        if q ** (k + r) > 4096:
+            continue
+        f = rand_linear(rng, q, k, rng.randrange(0, k + 1))
+        cases.append((f, rng.randrange(1, 4), r))
+    assert {f.q for f, _, _ in cases} == {2, 3, 5, 7}
+    assert any(f.l == 0 for f, _, _ in cases)
+    assert any(2 * t >= f.k for f, t, _ in cases)
+    assert max(r for _, _, r in cases) == 4
+    for f, t, r in cases:
+        G = build_graph(f, t, r)
+        row = [G.rows[0] >> x & 1 for x in range(G.n_vertices)]
+        S = spectrum_of(f, t, r)
+        assert S.eigenvalues == row_spectrum(row, f.q), (f, t, r)
+        assert all(type(v) is int for v in S.eigenvalues)
+
+
+def test_spectrum_transforms_only_the_message_row(monkeypatch, ex_q2_k3, ex_q3_k2):
+    calls = []
+    real = fcclib.spectrum._transform
+    monkeypatch.setattr(
+        fcclib.spectrum, "_transform", lambda v, *a: calls.append(len(v)) or real(v, *a)
+    )
+    for f, r in ((ex_q2_k3, 3), (ex_q3_k2, 2)):
+        calls.clear()
+        spectrum_of(f, 1, r)
+        assert calls == [f.q**f.k]
+
+
+def test_spectrum_memory_is_not_per_row_entry():
+    # 2^18 eigenvalues: the output tuple alone takes 2 MiB of pointers; a
+    # whole-row transform held about 32 MiB of list entries at its peak.
+    f = linear_function(2, [(1, 1, 0), (0, 1, 1)])
+    tracemalloc.start()
+    try:
+        S = spectrum_of(f, 2, 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert S.n_vertices == 2**18
+    assert peak < 8 * 2**20
 
 
 def test_spectra_are_exact_integers(ex_q2_k3, ex_q3_k2):
@@ -104,9 +159,6 @@ def test_table_functions_are_rejected(or_q2_k2):
         spectrum_of(or_q2_k2, 1, 1)
     with pytest.raises(ValueError):
         eigenvalue_redundancy_bound(or_q2_k2, 1, 4)
-    G = build_graph(or_q2_k2, 1, 1)
-    with pytest.raises(ValueError):
-        eigenvalues_via_tensor_dft(G, or_q2_k2)
 
 
 def test_cvetkovic_bound_dominates_exact_alpha():
@@ -200,19 +252,16 @@ def test_redundancy_bound_equals_whole_row_scan(monkeypatch):
 
 def test_row_length_validation():
     with pytest.raises(ValueError):
-        connection_row(linear_function(2, [(1,)]), 0, 1)
+        spectrum_of(linear_function(2, [(1,)]), 0, 1)
     with pytest.raises(ValueError):
-        connection_row(linear_function(2, [(1,)]), 1, -1)
+        spectrum_of(linear_function(2, [(1,)]), 1, -1)
 
 
 def test_oversized_rows_are_refused_before_allocation(monkeypatch, ex_q2_k3):
-    monkeypatch.setattr(fcclib.graph, "ENUMERATION_LIMIT", 2**12)
     monkeypatch.setattr(fcclib.spectrum, "ENUMERATION_LIMIT", 2**12)
     tracemalloc.start()
     try:
-        # 2^16 entries: the list alone would take 512 KiB.
-        with pytest.raises(ValueError, match="limit is 4096"):
-            connection_row(ex_q2_k3, 1, 13)
+        # 2^16 entries: the tuple alone would take 512 KiB.
         with pytest.raises(ValueError, match="limit is 4096"):
             spectrum_of(ex_q2_k3, 1, 13)
         peak = tracemalloc.get_traced_memory()[1]
@@ -221,7 +270,6 @@ def test_oversized_rows_are_refused_before_allocation(monkeypatch, ex_q2_k3):
     assert peak < 64 * 1024
     # r = 0..2 are infeasible (see the feasibility sequence above) and the
     # row at r = 3 has 64 entries, over a limit of 32: the scan stops there.
-    monkeypatch.setattr(fcclib.graph, "ENUMERATION_LIMIT", 2**5)
     monkeypatch.setattr(fcclib.spectrum, "ENUMERATION_LIMIT", 2**5)
     assert eigenvalue_redundancy_bound(ex_q2_k3, 1, 8) == SpectralBoundResult(3, True)
     entry = next(e for e in bound_report(ex_q2_k3, 1).entries if e.name == "eigenvalue")
