@@ -16,9 +16,8 @@ from time import monotonic
 from .distance import _fdm_search, _pairwise_plotkin
 from .errors import BudgetExceededError
 from .fields import (
-    PrimeField,
     VectorIndex,
-    _bitmask,
+    _check_prime,
     _count_over,
     differences,
     hamming_ball_size,
@@ -92,7 +91,7 @@ def a_q_exact(
     d == 1 and none once d >= 2 (no symbols exist to separate two words);
     d > n likewise caps the code at a single word.
     """
-    PrimeField(q)
+    _check_prime(q)
     if n < 0 or d < 1:
         raise ValueError("need n >= 0 and d >= 1")
     if n == 0:
@@ -123,7 +122,7 @@ def a_q_exact(
         )
     ball = differences(q, n, 1, d - 1)
     rows = _cayley_rows(q, q**n, ball)
-    candidates = ((1 << q**n) - 2) ^ _bitmask((z for z, _, _ in ball), q**n)
+    candidates = ((1 << q**n) - 2) ^ rows[0]
     result = max_independent_set(rows, node_budget=node_budget, candidates=candidates)
     chosen = [0, *result.members]
     witness = tuple(index.vector(v) for v in sorted(chosen))
@@ -137,7 +136,7 @@ def a_q_exact(
 
 def a_q_upper(q: int, n: int, d: int, method: str) -> AqEstimate:
     """Classical closed-form upper bounds on the largest code size."""
-    PrimeField(q)
+    _check_prime(q)
     if n < 0 or d < 1:
         raise ValueError("need n >= 0 and d >= 1")
     if method == "hamming":
@@ -301,7 +300,7 @@ def _packing_scan(q: int, k: int, d: int, aq, margin) -> int:
     """Smallest r such that for every m up to floor((d-1)/2),
     ball(q,k,m) + margin(r, m) <= aq(q, r, d-2m); the m loop stops at the
     first failure, so a custom estimator sees the calls in that order."""
-    PrimeField(q)
+    _check_prime(q)
     if d < 2 or k < 1:
         raise ValueError("need d >= 2 and k >= 1")
     if aq is None:

@@ -26,7 +26,15 @@ from time import monotonic
 from . import __version__
 from .bounds import bound_report, compare_report
 from .cosets import _class_encoder, build_cosetwise_encoder
-from .distance import _fdm_search, build_drm, build_fdm, matrix_from_lists, n_q_exact
+from .distance import (
+    _fdm_search,
+    _pairwise_order,
+    _refuse_order,
+    build_drm,
+    build_fdm,
+    matrix_from_lists,
+    n_q_exact,
+)
 from .errors import BudgetExceededError, CodeNotFoundError, DecodingFailureError
 from .formats import (
     label_text,
@@ -211,12 +219,16 @@ def cmd_nq(args, argv) -> int:
     if args.matrix:
         D = matrix_from_lists(parse_inline_rows(args.matrix))
         q = args.q if args.q is not None else 2
+        res = n_q_exact(D, q, r_cap=args.r_max, deadline=deadline)
     else:
         f = _load_function(args)
         t = _required_t(args)
-        D = build_drm(f, t) if args.target == "drm" else build_fdm(f, t)
-        q = f.q
-    res = n_q_exact(D, q, r_cap=args.r_max, deadline=deadline)
+        if args.target == "fdm":
+            res = _fdm_search(f, t, args.r_max, deadline)
+        else:
+            # Refuse the order before the q^k x q^k matrix is built.
+            _refuse_order(_pairwise_order(f, t))
+            res = n_q_exact(build_drm(f, t), f.q, r_cap=args.r_max, deadline=deadline)
     if res.found:
         witness = [label_text(w) for w in res.witness.words]
         _write(args, argv, {"found": True, "n": res.n, "witness": witness})

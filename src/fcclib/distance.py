@@ -20,9 +20,9 @@ from time import monotonic
 from .errors import BudgetExceededError
 from .fields import (
     FieldVec,
-    PrimeField,
     VectorIndex,
     _bitmask,
+    _check_prime,
     _count_over,
     differences,
     hamming_distance,
@@ -284,7 +284,7 @@ def n_q_exact(
     order above DEFAULT_MAX_ORDER or running past ``deadline``
     BudgetExceededError.
     """
-    PrimeField(q)
+    _check_prime(q)
     if D.order == 0:
         raise ValueError("the requirement matrix is empty")
     if r_cap is None:

@@ -1,4 +1,4 @@
-"""Prime-field scalars and vectors, Hamming metrics, and the canonical vector order.
+"""Vectors over prime fields, Hamming metrics, and the canonical vector order.
 
 Every matrix, graph, and file in this package indexes length-n vectors over
 F_q by their canonical rank: the integer whose base-q digits (most significant
@@ -59,40 +59,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    """Arithmetic modulo a prime ``q``.
-
-    Composite moduli are rejected: all results in this package are stated for
-    prime fields only.
-    """
-
-    q: int
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.q):
-            raise ValueError(f"field size must be prime, got {self.q}")
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.q
-
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse of a non-zero element."""
-        if a % self.q == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return pow(a, self.q - 2, self.q)
-
-    def elements(self) -> range:
-        return range(self.q)
+def _check_prime(q: int) -> None:
+    """Refuse a field size that is not prime: every result in this package
+    is stated for prime fields only."""
+    if not is_prime(q):
+        raise ValueError(f"field size must be prime, got {q}")
 
 
 @dataclass(frozen=True)
@@ -108,8 +79,7 @@ class VectorIndex:
     n: int
 
     def __post_init__(self) -> None:
-        if not is_prime(self.q):
-            raise ValueError(f"field size must be prime, got {self.q}")
+        _check_prime(self.q)
         if self.n < 0:
             raise ValueError(f"vector length must be non-negative, got {self.n}")
 
@@ -139,11 +109,6 @@ class VectorIndex:
     def all_vectors(self):
         """Iterate every vector in canonical (lexicographic) order."""
         return product(range(self.q), repeat=self.n)
-
-
-def hamming_weight(x: FieldVec) -> int:
-    """Number of non-zero symbols in ``x``."""
-    return sum(1 for s in x if s != 0)
 
 
 def hamming_distance(x: FieldVec, y: FieldVec) -> int:
@@ -257,7 +222,7 @@ def hamming_ball_size(q: int, n: int, m: int) -> int:
 
 def matrix_rank(q: int, rows: list[FieldVec] | tuple[FieldVec, ...]) -> int:
     """Rank over F_q of the matrix with the given rows (Gaussian elimination)."""
-    field = PrimeField(q)
+    _check_prime(q)
     work = [list(r) for r in rows]
     if not work:
         return 0
@@ -268,7 +233,7 @@ def matrix_rank(q: int, rows: list[FieldVec] | tuple[FieldVec, ...]) -> int:
         if pivot is None:
             continue
         work[rank], work[pivot] = work[pivot], work[rank]
-        inv = field.inv(work[rank][c])
+        inv = pow(work[rank][c], q - 2, q)
         work[rank] = [(s * inv) % q for s in work[rank]]
         for r in range(len(work)):
             if r != rank and work[r][c] % q != 0:

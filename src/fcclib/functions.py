@@ -19,8 +19,8 @@ from .fields import (
     ENUMERATION_LIMIT,
     Difference,
     FieldVec,
-    PrimeField,
     VectorIndex,
+    _check_prime,
     _count_over,
     hamming_distance,
     matrix_rank,
@@ -31,7 +31,7 @@ from .fields import (
 
 def _check_domain(q: int, k: int) -> None:
     """Refuse a field size that is not prime or a domain length below 1."""
-    PrimeField(q)
+    _check_prime(q)
     if k < 1:
         raise ValueError(f"domain length must be positive, got {k}")
 

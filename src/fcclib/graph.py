@@ -39,7 +39,7 @@ from .fields import (
     translate_mask,
 )
 from .functions import FunctionSpec, _check_t, coset_decomposition
-from .mis import DEFAULT_NODE_BUDGET, MisResult, _bits, max_independent_set
+from .mis import DEFAULT_NODE_BUDGET, MisResult, max_independent_set
 
 GRAPH_VERTEX_LIMIT = 2**16
 EXACT_ALPHA_LIMIT = 2**11
@@ -139,10 +139,11 @@ def _cayley_rows(q: int, n_vertices: int, diffs: list[Difference]) -> list[int]:
     """Bit-packed rows of the graph on ranks 0..n_vertices-1 whose row i is
     the set i + z over the differences z in ``diffs``.
 
-    Row 0 is built once; row i is row i - place shifted by the unit vector
-    at place, the leading digit place of i.
+    Row 0 is the set of difference ranks (0 + z = z); row i is row
+    i - place shifted by the unit vector at place, the leading digit place
+    of i.
     """
-    rows = [_bitmask(translate(q, 0, diffs), n_vertices)]
+    rows = [_bitmask((z for z, _, _ in diffs), n_vertices)]
     place = 1
     while place < n_vertices:
         masks = increment_masks(q, n_vertices, place)
@@ -150,19 +151,6 @@ def _cayley_rows(q: int, n_vertices: int, diffs: list[Difference]) -> list[int]:
             rows.append(increment(q, rows[j], place, masks))
         place *= q
     return rows
-
-
-def _vertex_count(f: FunctionSpec, r: int) -> int:
-    """q^(k+r), the vertex count at redundancy r, once r >= 0 and the count
-    is within GRAPH_VERTEX_LIMIT (read at call time)."""
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    over = _count_over(f.q, f.k + r, GRAPH_VERTEX_LIMIT)
-    if over:
-        raise ValueError(
-            f"graph would have {over} vertices; limit is {GRAPH_VERTEX_LIMIT}"
-        )
-    return f.q ** (f.k + r)
 
 
 def build_graph(f: FunctionSpec, t: int, r: int) -> FccGraph:
@@ -173,8 +161,15 @@ def build_graph(f: FunctionSpec, t: int, r: int) -> FccGraph:
     positions.
     """
     _check_t(t)
-    n_vertices = _vertex_count(f, r)
+    if r < 0:
+        raise ValueError("r must be >= 0")
     q, k = f.q, f.k
+    over = _count_over(q, k + r, GRAPH_VERTEX_LIMIT)
+    if over:
+        raise ValueError(
+            f"graph would have {over} vertices; limit is {GRAPH_VERTEX_LIMIT}"
+        )
+    n_vertices = q ** (k + r)
     if f.mode == "linear":
         rows = _cayley_rows(q, n_vertices, _connection_set(f, t, r))
         return FccGraph(q=q, k=k, r=r, t=t, rows=tuple(rows))
@@ -398,27 +393,3 @@ def verify_block_circulant(G: FccGraph, f: FunctionSpec) -> BlockCirculantReport
                     holds=False, violation=(position, image, y)
                 )
     return BlockCirculantReport(holds=True)
-
-
-def cartesian_bound_graph(f: FunctionSpec, t: int, r: int) -> FccGraph:
-    """Cartesian product of the parity-free graph with a complete graph on
-    the q^r parity words, on the same vertex set as build_graph(f, t, r).
-
-    Edges: same message with different parity, or parity equal and messages
-    adjacent in the parity-free graph.  Every edge here is also an edge of
-    the full graph, which yields alpha(full) <= q^r * alpha(parity-free).
-    """
-    q, k = f.q, f.k
-    n_vertices = _vertex_count(f, r)
-    g0 = build_graph(f, t, 0)
-    p_count = q**r
-    # Vertex (u, 0)'s neighbours in other messages; (u, p)'s are these + p.
-    spread = [
-        _bitmask((v * p_count for v in _bits(row)), n_vertices) for row in g0.rows
-    ]
-    rows = []
-    for i in range(n_vertices):
-        ui, pi = divmod(i, p_count)
-        block = ((1 << p_count) - 1) << (ui * p_count)
-        rows.append(block ^ (1 << i) | spread[ui] << pi)
-    return FccGraph(q=q, k=k, r=r, t=t, rows=tuple(rows))

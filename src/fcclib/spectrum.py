@@ -85,14 +85,14 @@ def _coefficients(v: int, q: int, width: int) -> tuple[int, int]:
     return v & mask, coeffs.pop()
 
 
-def cvetkovic_alpha_bound(S: Spectrum, n_vertices: int):
+def cvetkovic_alpha_bound(S: Spectrum):
     """Eigenvalue upper bound on the independence number, as an exact
-    Fraction: -n * lambda_min / (lambda_max - lambda_min); n for an edgeless
-    graph."""
-    lo, hi = S.lambda_min, S.lambda_max
+    Fraction: -n * lambda_min / (lambda_max - lambda_min), n = S.n_vertices;
+    n for an edgeless graph."""
+    n, lo, hi = S.n_vertices, S.lambda_min, S.lambda_max
     if hi == lo:
-        return n_vertices
-    return Fraction(-n_vertices * lo, hi - lo)
+        return n
+    return Fraction(-n * lo, hi - lo)
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,7 @@ def _eigenvalues(q: int, t: int, r: int, shells: list[tuple]) -> list[list[int]]
 def spectrum_of(f: FunctionSpec, t: int, r: int) -> Spectrum:
     """Spectrum of the conflict graph, computed without building the graph or
     its first row: entry a * q^r + b is the eigenvalue at the character (a, b)."""
-    _require_linear(f, "tensor-DFT spectrum")
+    _require_linear(f, "spectrum")
     _check_t(t)
     if r < 0:
         raise ValueError("r must be >= 0")

@@ -438,7 +438,7 @@ class TestInvariantSuites:
             if q ** (k + r) > 81:
                 r = 0
             alpha = independence_number(build_graph(f, t, r)).size
-            bound = cvetkovic_alpha_bound(spectrum_of(f, t, r), q ** (k + r))
+            bound = cvetkovic_alpha_bound(spectrum_of(f, t, r))
             assert bound >= alpha
 
     def test_cartesian_product_inequality(self):

@@ -286,20 +286,23 @@ def _unit_basis_with_repeats(rng, q, l, k):
             return f
 
 
-def test_optimality_check_compares_only_nonzero_fdm_pairs(monkeypatch):
+def test_optimality_check_translates_once_per_class_pair(monkeypatch):
     # [I_5 | (2,0,0,0,0)^T] over F_3: 243 classes, 29,403 class pairs
     rows = [[int(j == i) for j in range(5)] + [2 * (i == 0)] for i in range(5)]
     f = linear_function(3, rows)
     fdm = build_fdm(f, 1)
     nonzero = sum(1 for a in range(fdm.order) for b in range(a) if fdm[a][b])
     assert nonzero == 6_075
-    calls = []
-    real = bounds.hamming_distance
+    lengths = []
+    real = bounds.translate
     monkeypatch.setattr(
-        bounds, "hamming_distance", lambda x, y: calls.append(1) or real(x, y)
+        bounds,
+        "translate",
+        lambda q, i, diffs: lengths.append(len(diffs)) or real(q, i, diffs),
     )
     assert optimality_check(f, 1) is True
-    assert len(calls) <= nonzero
+    assert len(lengths) == 243
+    assert sum(lengths) == 243 * 242 // 2
 
 
 def test_optimality_check_matches_the_fdm_search_node_for_node():

@@ -405,6 +405,28 @@ def test_construct_refuses_order_before_building_the_fdm(capsys, monkeypatch, tm
     assert built == []
 
 
+def test_nq_refuses_order_before_building_either_matrix(capsys, monkeypatch, tmp_path):
+    # proj6 at t=2: 64 function values and 1024 messages, both above the
+    # search limit, so neither matrix is built before the refusal
+    proj6 = linear_function(2, [[int(j == i) for j in range(10)] for i in range(6)])
+    func = tmp_path / "proj6.func"
+    func.write_text(render_function_file(proj6))
+    built = []
+    for module in (fcclib.cli, fcclib.distance):
+        for name in ("build_drm", "build_fdm"):
+            real = getattr(module, name)
+            monkeypatch.setattr(
+                module,
+                name,
+                lambda f, t, name=name, real=real: built.append(name) or real(f, t),
+            )
+    for target, order in (("fdm", 64), ("drm", 1024)):
+        code, out, err = run(capsys, "nq", target, "--func", str(func), "--t", "2")
+        assert code == EX_BUDGET and out == ""
+        assert f"matrix order {order} exceeds the search limit 20" in err
+    assert built == []
+
+
 def test_construct_cosetwise_route(capsys, tmp_path, data_dir, shipped_dir, ex_q2_k4):
     func = str(data_dir / "ex_q2_k4.func")
     good = str(shipped_dir / "parity_5_4_3_q2.txt")

@@ -1,4 +1,4 @@
-"""Field arithmetic, canonical vector ranking, and Hamming metrics."""
+"""The prime check, canonical vector ranking, and Hamming metrics."""
 
 import itertools
 import random
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fcclib import PrimeField, VectorIndex, hamming_ball_size, hamming_distance, hamming_weight
+from fcclib import VectorIndex, hamming_ball_size, hamming_distance
 from fcclib.fields import (
     _bitmask,
     differences,
@@ -32,28 +32,8 @@ def test_is_prime_small_values():
 
 def test_prime_field_rejects_composites():
     for bad in (-1, 0, 1, 4, 6, 9, 15):
-        with pytest.raises(ValueError):
-            PrimeField(bad)
-
-
-def test_field_arithmetic_matches_integers():
-    rng = random.Random(20260818)
-    for q in (2, 3, 5, 7, 11):
-        field = PrimeField(q)
-        assert list(field.elements()) == list(range(q))
-        for _ in range(50):
-            a, b = rng.randrange(q), rng.randrange(q)
-            assert field.add(a, b) == (a + b) % q
-            assert field.sub(a, b) == (a - b) % q
-            assert field.mul(a, b) == (a * b) % q
-            assert field.neg(a) == (-a) % q
-            if a:
-                assert field.mul(a, field.inv(a)) == 1
-
-
-def test_zero_has_no_inverse():
-    with pytest.raises(ZeroDivisionError):
-        PrimeField(5).inv(0)
+        with pytest.raises(ValueError, match=f"^field size must be prime, got {bad}$"):
+            VectorIndex(bad, 1)
 
 
 def test_vector_index_matches_lexicographic_enumeration():
@@ -96,7 +76,6 @@ def test_hamming_metrics_match_oracles():
             n = rng.randrange(1, 9)
             x = tuple(rng.randrange(q) for _ in range(n))
             y = tuple(rng.randrange(q) for _ in range(n))
-            assert hamming_weight(x) == slow_weight(x)
             assert hamming_distance(x, y) == slow_distance(x, y)
             assert hamming_distance(x, y) == hamming_distance(y, x)
             assert hamming_distance(x, x) == 0
@@ -112,7 +91,7 @@ def test_hamming_distance_is_translation_invariant():
             x = tuple(rng.randrange(q) for _ in range(n))
             y = tuple(rng.randrange(q) for _ in range(n))
             diff = tuple((a - b) % q for a, b in zip(x, y))
-            assert hamming_distance(x, y) == hamming_weight(diff)
+            assert hamming_distance(x, y) == slow_weight(diff)
 
 
 def test_weights_match_decoded_ranks():
@@ -121,7 +100,7 @@ def test_weights_match_decoded_ranks():
             idx = VectorIndex(q, n)
             table = weights(q, n)
             assert len(table) == len(idx)
-            assert list(table) == [hamming_weight(idx.vector(i)) for i in range(len(idx))]
+            assert list(table) == [slow_weight(idx.vector(i)) for i in range(len(idx))]
 
 
 def test_hamming_ball_size_matches_direct_count():

@@ -13,7 +13,6 @@ from fcclib import (
     FccGraph,
     build_fdm,
     build_graph,
-    cartesian_bound_graph,
     coset_decomposition,
     decode,
     extract_fcc,
@@ -209,25 +208,18 @@ def test_block_circulant_violation_pinpoints_real_asymmetry(or_q2_k2):
     assert G.has_edge(i, j) != G.has_edge(i_prev, j_prev)
 
 
-def test_cartesian_graph_shares_the_vertex_checks(monkeypatch, ex_q2_k3):
-    # a negative redundancy is refused as build_graph refuses it
+def test_build_graph_refuses_negative_r_and_reads_the_vertex_cap(monkeypatch, ex_q2_k3):
     for r in (-1, -4):
-        with pytest.raises(ValueError) as want:
+        with pytest.raises(ValueError, match="^r must be >= 0$"):
             build_graph(ex_q2_k3, 1, r)
-        with pytest.raises(ValueError) as got:
-            cartesian_bound_graph(ex_q2_k3, 1, r)
-        assert str(got.value) == str(want.value) == "r must be >= 0"
-    f = linear_function(2, [(1,)])
-    with pytest.raises(ValueError, match="r must be >= 0"):
-        cartesian_bound_graph(f, 1, -1)
     # the vertex cap is read at call time, word for word
     monkeypatch.setattr(fcclib.graph, "GRAPH_VERTEX_LIMIT", 16)
-    assert cartesian_bound_graph(ex_q2_k3, 1, 1).n_vertices == 16
-    with pytest.raises(ValueError, match="graph would have 32 vertices; limit is 16"):
-        cartesian_bound_graph(ex_q2_k3, 1, 2)
+    assert build_graph(ex_q2_k3, 1, 1).n_vertices == 16
+    with pytest.raises(ValueError, match="^graph would have 32 vertices; limit is 16$"):
+        build_graph(ex_q2_k3, 1, 2)
 
 
-def test_cartesian_graph_is_subgraph_with_valid_alpha_bound():
+def test_alpha_is_at_most_q_to_the_r_times_parity_free_alpha():
     rng = random.Random(55)
     for _ in range(20):
         q = rng.choice([2, 3])
@@ -237,16 +229,9 @@ def test_cartesian_graph_is_subgraph_with_valid_alpha_bound():
             continue
         f = rand_linear(rng, q, k, rng.randrange(0, k + 1))
         t = rng.randrange(1, 3)
-        G = build_graph(f, t, r)
-        H = cartesian_bound_graph(f, t, r)
-        for i in range(H.n_vertices):
-            assert H.rows[i] & ~G.rows[i] == 0  # every product edge is a real edge
-        alpha = independence_number(G).size
-        alpha_h = independence_number(H).size
+        alpha = independence_number(build_graph(f, t, r)).size
         alpha0 = independence_number(build_graph(f, t, 0)).size
-        assert alpha <= alpha_h <= q**r * alpha0
-        if r == 0:
-            assert H.rows == G.rows
+        assert alpha <= q**r * alpha0
 
 
 def test_extraction_fails_when_no_code_exists(ex_q2_k3):

@@ -155,7 +155,7 @@ def test_spectrum_moment_and_degree_invariants():
 
 
 def test_table_functions_are_rejected(or_q2_k2):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^spectrum is defined for linear functions only$"):
         spectrum_of(or_q2_k2, 1, 1)
     with pytest.raises(ValueError):
         eigenvalue_redundancy_bound(or_q2_k2, 1, 4)
@@ -166,7 +166,7 @@ def test_cvetkovic_bound_dominates_exact_alpha():
     for f, t, r in _rand_cases(rng, 20):
         G = build_graph(f, t, r)
         S = spectrum_of(f, t, r)
-        bound = cvetkovic_alpha_bound(S, G.n_vertices)
+        bound = cvetkovic_alpha_bound(S)
         assert bound >= independence_number(G).size
         assert isinstance(bound, (int, Fraction))
 
@@ -175,10 +175,10 @@ def test_cvetkovic_closed_forms():
     # complete graph on n vertices: lambda = n-1 once, -1 rest; bound = 1
     n = 8
     S = Spectrum(q=2, eigenvalues=(n - 1,) + (-1,) * (n - 1))
-    assert cvetkovic_alpha_bound(S, n) == 1
+    assert cvetkovic_alpha_bound(S) == 1
     # edgeless graph: flat spectrum, bound collapses to n
     flat = Spectrum(q=2, eigenvalues=(0,) * n)
-    assert cvetkovic_alpha_bound(flat, n) == n
+    assert cvetkovic_alpha_bound(flat) == n
 
 
 def test_feasibility_quantity_at_growing_redundancy(ex_q2_k3):
