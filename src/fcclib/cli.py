@@ -36,7 +36,9 @@ from .distance import (
     n_q_exact,
 )
 from .errors import BudgetExceededError, CodeNotFoundError, DecodingFailureError
+from .fields import _count_over
 from .formats import (
+    _int,
     label_text,
     parse_digit_word,
     parse_inline_rows,
@@ -50,8 +52,10 @@ from .formats import (
     render_matrix_csv,
     render_spectrum_csv,
 )
-from .functions import linear_function
+from .functions import _check_t, linear_function
 from .graph import (
+    EXACT_ALPHA_LIMIT,
+    GRAPH_VERTEX_LIMIT,
     build_graph,
     decode as graph_decode,
     extract_fcc,
@@ -85,6 +89,7 @@ def _load_function(args):
 def _required_t(args) -> int:
     if args.t is None:
         raise ValueError("--t is required for this command")
+    _check_t(args.t)
     return args.t
 
 
@@ -193,6 +198,14 @@ def cmd_alpha(args, argv) -> int:
     if args.r is None:
         raise ValueError("--r is required: alpha works on the graph at one redundancy")
     node_budget, deadline = _budgets(args)
+    # Refuse an exact search past its limit before its graph is built; a
+    # graph past the vertex limit gets build_graph's own refusal.
+    n = f.k + args.r
+    over = _count_over(f.q, n, EXACT_ALPHA_LIMIT)
+    if over and args.r >= 0 and not _count_over(f.q, n, GRAPH_VERTEX_LIMIT):
+        raise ValueError(
+            f"exact search limited to {EXACT_ALPHA_LIMIT} vertices; got {over}"
+        )
     G = build_graph(f, t, args.r)
     res = independence_number(G, node_budget=node_budget, deadline=deadline)
     _write(
@@ -327,7 +340,10 @@ def cmd_compare(args, argv) -> int:
     parts = args.k_range.split(":")
     if len(parts) != 2:
         raise ValueError(f"--k-range must have the form A:B, got {args.k_range!r}")
-    k_range = range(int(parts[0]), int(parts[1]) + 1)
+    low, high = (_int("--k-range", part) for part in parts)
+    if low > high:
+        raise ValueError(f"--k-range must have A <= B, got {args.k_range!r}")
+    k_range = range(low, high + 1)
     q = args.q if args.q is not None else 2
     table = read_aq_table(args.aq_table) if args.aq_table else None
     rows = compare_report(q, args.d, k_range, table)

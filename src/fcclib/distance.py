@@ -327,12 +327,14 @@ def _pairwise_plotkin(f: FunctionSpec, t: int) -> Fraction:
     """binary_plotkin_bound(build_drm(f, t)), read off the weight shells
     without the matrix: the above-diagonal sum is half of
     sum_w c_w * (2t+1 - w), c_w the ordered pairs (u, u + z) with wt(z) = w
-    in different classes.  Table f walks each shell from every message; for
-    linear f, c_w is q^k times the shell's members outside the zero class.
-    Raises build_drm's ValueErrors."""
-    size = _pairwise_order(f, t)
+    in different classes.  For linear f, c_w is q^k times the shell's members
+    outside the zero class: one walk from message 0, with no cap beyond the
+    class map's.  Table f walks each shell from every message, so it keeps
+    build_drm's cap and raises build_drm's ValueErrors."""
+    _check_t(t)
+    starts = [0] if f.mode == "linear" else range(_pairwise_order(f, t))
     cls = coset_decomposition(f).class_of
-    starts = [0] if f.mode == "linear" else range(size)
+    size = len(cls)
     total = 0
     for w in range(1, min(2 * t, f.k) + 1):
         shell = differences(f.q, f.k, w, w)

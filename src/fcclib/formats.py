@@ -8,8 +8,8 @@ readers and renderers reject q > 10; function files separate their symbols
 with spaces and take any prime q.  The `rank value` bodies of table function
 files and encoder files share one reader, ``_read_rank_body``: line count,
 two fields, rank in range, no rank twice, then one parse per value.  Every
-integer field of every file goes through ``_int``, whose refusal names the file
-and the text.
+integer field of every file, and of the inline ``--matrix`` rows, goes through
+``_int``, whose refusal names the file or flag and the text.
 """
 
 from __future__ import annotations
@@ -42,6 +42,16 @@ def _int(path, text: str) -> int:
         return int(text)
     except ValueError:
         raise ValueError(f"{path}: expected an integer, got {text!r}") from None
+
+
+def _refuse_enumeration(path, what: str, q: int, k: int) -> None:
+    """Refuse a header whose q^k rank lines would pass ENUMERATION_LIMIT,
+    before q^k is formed."""
+    if _count_over(q, k, ENUMERATION_LIMIT):
+        raise ValueError(
+            f"{path}: {what} over q={q}, k={k} would exceed the enumeration "
+            f"limit of {ENUMERATION_LIMIT} entries"
+        )
 
 
 def _read_rank_body(path, body, size: int, kind: str, fields: str, parse) -> list:
@@ -95,7 +105,8 @@ def _parse_parity_word(path, text: str, q: int) -> tuple[int, ...]:
 
 def parse_inline_rows(text: str) -> list[list[int]]:
     """Parse an inline matrix: rows split on ';', entries split on commas or
-    whitespace; a row with neither separator is read digit by digit."""
+    whitespace; a row with neither separator is read digit by digit.  A
+    non-integer entry is refused naming the ``--matrix`` flag that holds it."""
     rows = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -107,7 +118,7 @@ def parse_inline_rows(text: str) -> list[list[int]]:
             cells = chunk.split()
         else:
             cells = list(chunk)
-        rows.append([int(c) for c in cells])
+        rows.append([_int("--matrix", c) for c in cells])
     return rows
 
 
@@ -149,11 +160,7 @@ def read_function_file(path) -> FunctionSpec:
                 raise ValueError(f"{path}: matrix row {row} does not have length {k}")
         return linear_function(q, rows, k)
     if mode == "table":
-        if _count_over(q, k, ENUMERATION_LIMIT):
-            raise ValueError(
-                f"{path}: a table over q={q}, k={k} would exceed the enumeration "
-                f"limit of {ENUMERATION_LIMIT} entries"
-            )
+        _refuse_enumeration(path, "a table", q, k)
         labels = _read_rank_body(
             path, body, q**k, "table", "rank label", partial(_int, path)
         )
@@ -243,6 +250,7 @@ def read_encoder_file(path, f: FunctionSpec) -> FccEncoder:
             f"{path}: encoder is for q={q}, k={k}; the function has "
             f"q={f.q}, k={f.k}"
         )
+    _refuse_enumeration(path, "an encoder", q, k)
 
     def parse(text: str) -> tuple[int, ...]:
         word = _parse_parity_word(path, text, q)

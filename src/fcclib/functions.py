@@ -76,10 +76,12 @@ class FunctionSpec:
         elif self.mode == "table":
             if self.table is None or self.matrix is not None:
                 raise ValueError("table mode requires a table and no matrix")
-            if len(self.table) != self.q**self.k:
-                raise ValueError(
-                    f"table length {len(self.table)} != q^k = {self.q ** self.k}"
-                )
+            # q^k as its count's text when it passes the length: no huge
+            # power is formed or printed.
+            n = len(self.table)
+            expect = _count_over(self.q, self.k, n) or self.q**self.k
+            if expect != n:
+                raise ValueError(f"table length {n} != q^k = {expect}")
         else:
             raise ValueError(f"unknown mode {self.mode!r}")
 

@@ -38,7 +38,12 @@ from .fields import (
     translate,
     translate_mask,
 )
-from .functions import FunctionSpec, _check_t, coset_decomposition
+from .functions import (
+    CosetDecomposition,
+    FunctionSpec,
+    _check_t,
+    coset_decomposition,
+)
 from .mis import DEFAULT_NODE_BUDGET, MisResult, max_independent_set
 
 GRAPH_VERTEX_LIMIT = 2**16
@@ -94,9 +99,11 @@ class FccEncoder:
         _check_t(self.t)
         if self.r < 0:
             raise ValueError("r must be >= 0")
-        expect = self.f.q**self.f.k
-        if len(self.parity) != expect:
-            raise ValueError(f"expected {expect} parity words, got {len(self.parity)}")
+        # As for FunctionSpec's table: q^k is formed only up to the length.
+        n = len(self.parity)
+        expect = _count_over(self.f.q, self.f.k, n) or self.f.q**self.f.k
+        if expect != n:
+            raise ValueError(f"expected {expect} parity words, got {n}")
         for word in self.parity:
             if len(word) != self.r:
                 raise ValueError(f"parity word {word} does not have length {self.r}")
@@ -121,6 +128,11 @@ class FccEncoder:
         """The message differences of weight at most t, built once for
         ``decode``."""
         return tuple(differences(self.f.q, self.f.k, 0, self.t))
+
+    @cached_property
+    def _classes(self) -> CosetDecomposition:
+        """f's class map and labels, looked up once for ``decode``."""
+        return coset_decomposition(self.f)
 
 
 def _connection_set(f: FunctionSpec, t: int, r: int) -> list[Difference]:
@@ -332,8 +344,10 @@ def decode(E: FccEncoder, y: tuple[int, ...]):
 
     Ties go to the lowest message rank.  A codeword within t of y has its
     message within t of y's message part, so only that radius-t ball is
-    searched: O(V(k, t)) per word.  Raises DecodingFailureError when every
-    codeword is farther than t; the decoder never guesses.
+    searched: O(V(k, t)) per word.  The value is read off f's class map,
+    held on the encoder, with no message decoded or evaluated.  Raises
+    DecodingFailureError when every codeword is farther than t; the decoder
+    never guesses.
     """
     q, k, r = E.f.q, E.f.k, E.r
     if len(y) != k + r:
@@ -351,7 +365,8 @@ def decode(E: FccEncoder, y: tuple[int, ...]):
         raise DecodingFailureError(
             f"no codeword within distance {E.t} of the received word"
         )
-    return E.f.eval(msg_index.vector(best_rank))
+    classes = E._classes
+    return classes.labels[classes.class_of[best_rank]]
 
 
 @dataclass(frozen=True)

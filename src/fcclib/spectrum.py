@@ -99,10 +99,9 @@ def cvetkovic_alpha_bound(S: Spectrum):
 class SpectralBoundResult:
     """Smallest redundancy passing the eigenvalue feasibility inequality.
 
-    ``exhausted`` is True when the scan ended without a feasible r: either no
-    r <= r_max passed and ``value`` is r_max + 1, or the row at r = ``value``
-    would exceed ``ENUMERATION_LIMIT`` entries.  Every r below ``value`` was
-    proved infeasible, so it reads as "at least this much".
+    ``exhausted`` is True when no r <= r_max passed; ``value`` is then
+    r_max + 1.  Every r below ``value`` was proved infeasible, so an exhausted
+    result reads as "at least this much".
     """
 
     value: int
@@ -145,11 +144,6 @@ def _shell_transform(f: FunctionSpec, t: int) -> tuple[list[int], dict[int, tupl
     return entries, shells
 
 
-def _shell_spectra(f: FunctionSpec, t: int) -> set[tuple]:
-    """The distinct tuples (S_1(a), ..., S_W(a)) over the characters a of F_q^k."""
-    return set(_shell_transform(f, t)[1].values())
-
-
 def _eigenvalues(q: int, t: int, r: int, shells: list[tuple]) -> list[list[int]]:
     """Row x = 0..r lists, for each shell tuple (S_1(a), ..., S_W(a)) of
     ``shells`` in order, the eigenvalue at the character (a, b) with wt(b) = x,
@@ -189,21 +183,16 @@ def eigenvalue_redundancy_bound(
 ) -> SpectralBoundResult:
     """Lower bound on achievable redundancy: the smallest r <= r_max with
     q^r >= 1 - lambda_max(r)/lambda_min(r); every smaller r is infeasible.
-    The scan stops early, as exhausted, at the first r whose connection row
-    would have more than ``ENUMERATION_LIMIT`` entries.
 
-    The row itself is never built: each r takes extremes over the eigenvalues
-    of the distinct shell tuples (``_eigenvalues``) at wt(b) = 0..r."""
+    No graph row is built, so no r is too large to scan: one length-q^k
+    transform gives the distinct shell tuples, and each r takes extremes over
+    their eigenvalues (``_eigenvalues``) at wt(b) = 0..r."""
     _require_linear(f, "eigenvalue redundancy bound")
     if r_max < 0:
         raise ValueError("r_max must be >= 0")
     q = f.q
-    shells = None
+    shells = list(_shell_transform(f, t)[1].values())
     for r in range(r_max + 1):
-        if _count_over(q, f.k + r, ENUMERATION_LIMIT):
-            return SpectralBoundResult(value=r, exhausted=True)
-        # Built once, after the first size check has passed.
-        shells = shells or list(_shell_spectra(f, t))
         table = _eigenvalues(q, t, r, shells)
         lo, hi = min(map(min, table)), max(map(max, table))
         # An edgeless graph (flat spectrum) makes every vertex set independent.

@@ -346,8 +346,6 @@ def slow_eigenvalue_bound(f, t, r_max):
     """The eigenvalue redundancy scan on whole connection rows: the spectrum
     of the length-q^(k+r) row 0 of every conflict graph, r = 0..r_max."""
     for r in range(r_max + 1):
-        if f.q ** (f.k + r) > fcclib.spectrum.ENUMERATION_LIMIT:
-            return SpectralBoundResult(value=r, exhausted=True)
         spec = row_spectrum(connection_row(f, t, r), f.q)
         lo, hi = min(spec), max(spec)
         if hi == lo or f.q**r >= 1 - Fraction(hi, lo):

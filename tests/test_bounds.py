@@ -553,9 +553,16 @@ def test_pairwise_averaging_equals_the_drm_average(monkeypatch):
         report = bound_report(f, t, node_budget=2_000)
         entry = next(e for e in report.entries if e.name == "pairwise_averaging")
         assert entry.rational == binary_plotkin_bound(build_drm(f, t))
-    # the matrix's refusals, word for word
+    # Past the matrix limit a linear f still averages: one walk from 0, with
+    # 2^13 * (2 + 12) ordered crossing pairs over (2^13)^2.
     big = linear_function(2, [(1,) + (0,) * 12])
-    for f, t in ((big, 1), (cases[5][0], 128)):
+    assert _pairwise_plotkin(big, 1) == Fraction(7, 2048)
+    report = bound_report(big, 1, node_budget=2_000)
+    entry = next(e for e in report.entries if e.name == "pairwise_averaging")
+    assert (entry.rational, entry.integer) == (Fraction(7, 2048), 1)
+    # the matrix's refusals, word for word: t, and a table f past the limit
+    wide = table_function(2, 13, [u & 1 for u in range(2**13)])
+    for f, t in ((cases[5][0], 128), (wide, 1)):
         with pytest.raises(ValueError) as want:
             build_drm(f, t)
         with pytest.raises(ValueError) as got:

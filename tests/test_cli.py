@@ -288,6 +288,33 @@ def test_alpha_refuses_a_vertex_count_too_long_to_print(capsys, tmp_path):
     assert "graph would have 2^20000 vertices; limit is 65536" in err
 
 
+def test_verify_and_decode_refuse_an_encoder_too_long_to_size(capsys, tmp_path):
+    func = _wide_linear_args(tmp_path)[1]
+    enc = tmp_path / "wide.enc"
+    enc.write_text("2 20000 0 1\n0 -\n")
+    for argv in (["verify", str(enc)], ["decode", str(enc), "0" * 20_000]):
+        code, out, err = run(capsys, *argv, "--func", func)
+        assert code == EX_INPUT and out == ""
+        assert err == (
+            f"error: {enc}: an encoder over q=2, k=20000 would exceed the "
+            "enumeration limit of 16777216 entries\n"
+        )
+
+
+def test_alpha_refuses_an_exact_search_before_building(capsys, monkeypatch):
+    built = []
+    real = fcclib.cli.build_graph
+    monkeypatch.setattr(
+        fcclib.cli, "build_graph", lambda *a: built.append(a) or real(*a)
+    )
+    # The first 6 of 10 bits at r = 5: 2^15 vertices, past the 2^11 limit.
+    block = ";".join("".join(str(int(j == i)) for j in range(10)) for i in range(6))
+    code, out, err = run(capsys, "alpha", "--matrix", block, "--t", "1", "--r", "5")
+    assert code == EX_INPUT and out == ""
+    assert err == "error: exact search limited to 2048 vertices; got 32768\n"
+    assert built == []
+
+
 def test_spectrum_refuses_a_row_too_long_to_print(capsys, tmp_path):
     code, out, err = run(capsys, "spectrum", *_wide_linear_args(tmp_path))
     assert code == EX_INPUT and out == ""
@@ -479,13 +506,22 @@ def test_compare_routes(capsys, tmp_path):
     )
     assert code == EX_OK and [r["k"] for r in payload["rows"]] == [2, 3]
 
-    for bad in (
-        ["compare", "--k-range", "2:4"],
-        ["compare", "--d", "3"],
-        ["compare", "--d", "3", "--k-range", "2-4"],
+    for bad, message in (
+        (["--k-range", "2:4"], "--d is required"),
+        (["--d", "3"], "--k-range is required"),
+        (["--d", "3", "--k-range", "2-4"], "--k-range must have the form A:B"),
+        (["--d", "3", "--k-range", "a:3"], "--k-range: expected an integer, got 'a'"),
+        (["--d", "3", "--k-range", "5:3"], "--k-range must have A <= B, got '5:3'"),
     ):
-        code, _, err = run(capsys, *bad)
-        assert code == EX_INPUT
+        code, out, err = run(capsys, "compare", *bad)
+        assert code == EX_INPUT and out == "" and message in err, bad
+
+
+def test_inline_matrix_refusal_names_its_flag(capsys):
+    for argv in (["drm", "--matrix", "1,x", "--t", "1"], ["nq", "--matrix", "0,x;x,0"]):
+        code, out, err = run(capsys, *argv)
+        assert code == EX_INPUT and out == ""
+        assert err == "error: --matrix: expected an integer, got 'x'\n"
 
 
 

@@ -103,6 +103,16 @@ def test_spec_validation():
     assert linear_function(2, [], k=3).l == 0
 
 
+def test_table_length_refusal_prints_no_huge_power():
+    # 2^20000 has more digits than Python converts to a string by default.
+    with pytest.raises(ValueError) as info:
+        table_function(2, 20000, [0, 1])
+    assert str(info.value) == "table length 2 != q^k = 2^20000"
+    with pytest.raises(ValueError) as info:
+        table_function(3, 2, range(10))
+    assert str(info.value) == "table length 10 != q^k = 9"
+
+
 def test_linear_function_rejects_unreduced_entries():
     for q, rows in [(2, [(2, 1, 0)]), (3, [(-1, 1)]), (5, [(1, 0), (0, 5)])]:
         with pytest.raises(ValueError):

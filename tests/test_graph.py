@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+import fcclib.fields
+import fcclib.functions
 import fcclib.graph
 
 from fcclib import (
@@ -334,6 +336,28 @@ def test_decode_matches_nearest_codeword_oracle():
     assert outcomes == {True, False}
 
 
+def test_decode_evaluates_no_message(monkeypatch):
+    # The value comes off the class map held on the encoder: no message is
+    # decoded to a vector or evaluated, on linear and table f alike.
+    cases = []
+    for rng, E in _oracle_encoders(8191):
+        for y in rng.sample(all_words(E.q, E.k + E.r), 4):
+            cases.append((E, y, brute_decode(E, y)))
+    assert {want is None for _, _, want in cases} == {True, False}
+
+    def refuse(*args):
+        raise AssertionError("decode called eval or vector")
+
+    monkeypatch.setattr(fcclib.functions.FunctionSpec, "eval", refuse)
+    monkeypatch.setattr(fcclib.fields.VectorIndex, "vector", refuse)
+    for E, y, want in cases:
+        if want is None:
+            with pytest.raises(DecodingFailureError):
+                decode(E, y)
+        else:
+            assert decode(E, y) == want
+
+
 def test_violation_matches_first_lexicographic_pair():
     found = set()
     for _, E in _oracle_encoders(2718):
@@ -419,6 +443,13 @@ def test_encoder_validation(ex_q2_k3):
         FccEncoder(f=ex_q2_k3, t=1, r=1, parity=((0, 0),) * 8)
     with pytest.raises(ValueError):
         FccEncoder(f=ex_q2_k3, t=1, r=1, parity=((2,),) * 8)
+
+
+def test_encoder_size_refusal_prints_no_huge_power():
+    wide = linear_function(2, [(1,) + (0,) * 19_999])
+    with pytest.raises(ValueError) as info:
+        FccEncoder(f=wide, t=1, r=0, parity=((),))
+    assert str(info.value) == "expected 2^20000 parity words, got 1"
 
 
 def test_exact_alpha_gate_and_decision_escape(ex_q2_k3):

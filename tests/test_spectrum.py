@@ -224,10 +224,11 @@ def test_redundancy_bound_never_exceeds_true_redundancy():
         assert res.value <= true_r
 
 
-def test_redundancy_bound_equals_whole_row_scan(monkeypatch):
+def test_redundancy_bound_equals_whole_row_scan():
     # The scan reads the message shells and Krawtchouk sums; the helper
-    # transforms every length-q^(k+r) connection row.  Small limits make
-    # some scans stop as exhausted.
+    # transforms every length-q^(k+r) connection row, so r_max keeps those
+    # rows at 2^12 entries or fewer.  A small r_max makes some scans stop
+    # as exhausted.
     rng = random.Random(6)
     cases = [
         (linear_function(q, [], k=k), t) for q, k in ((2, 3), (3, 2)) for t in (1, 2)
@@ -241,11 +242,10 @@ def test_redundancy_bound_equals_whole_row_scan(monkeypatch):
     assert any(2 * t >= f.k for f, t in cases)
     exhausted = 0
     for f, t in cases:
-        limit = rng.choice([2**12, f.q ** (f.k + rng.randrange(0, 3))])
-        monkeypatch.setattr(fcclib.spectrum, "ENUMERATION_LIMIT", limit)
-        r_max = rng.randrange(0, 7)
+        top = max(r for r in range(7) if f.q ** (f.k + r) <= 2**12)
+        r_max = rng.randrange(0, top + 1)
         got = eigenvalue_redundancy_bound(f, t, r_max)
-        assert got == slow_eigenvalue_bound(f, t, r_max), (f, t, r_max, limit)
+        assert got == slow_eigenvalue_bound(f, t, r_max), (f, t, r_max)
         exhausted += got.exhausted
     assert exhausted
 
@@ -268,9 +268,9 @@ def test_oversized_rows_are_refused_before_allocation(monkeypatch, ex_q2_k3):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
-    # r = 0..2 are infeasible (see the feasibility sequence above) and the
-    # row at r = 3 has 64 entries, over a limit of 32: the scan stops there.
+    # The scan builds no row, so a limit below the row at r = 3 (64 entries)
+    # changes neither the bound nor the report's eigenvalue entry.
     monkeypatch.setattr(fcclib.spectrum, "ENUMERATION_LIMIT", 2**5)
-    assert eigenvalue_redundancy_bound(ex_q2_k3, 1, 8) == SpectralBoundResult(3, True)
+    assert eigenvalue_redundancy_bound(ex_q2_k3, 1, 8) == SpectralBoundResult(3, False)
     entry = next(e for e in bound_report(ex_q2_k3, 1).entries if e.name == "eigenvalue")
-    assert entry.integer == 3 and entry.note.startswith("scan exhausted")
+    assert entry.integer == 3 and entry.note == ""
