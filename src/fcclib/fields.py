@@ -5,7 +5,8 @@ F_q by their canonical rank: the integer whose base-q digits (most significant
 first) are the vector's symbols.  ``VectorIndex`` realises that bijection.
 
 The rank core adds vectors without decoding them: ``translate`` moves one rank
-by a list of sparse differences, ``increment`` moves a whole set of ranks,
+by a list of sparse differences, ``translate_ranks`` moves a list of ranks by
+one difference, ``increment`` moves a whole set of ranks,
 held as one bitmask, by a unit vector in two masked shifts, and
 ``translate_mask`` moves such a set by a sparse difference, one increment at
 a time.  The same one-digit-at-a-time recurrence builds the class map of a
@@ -154,6 +155,23 @@ def translate(q: int, i: int, diffs) -> list[int]:
             j += ((digit + symbol) % q - digit) * place
         out.append(j)
     return out
+
+
+def translate_ranks(q: int, ranks: list[int], diff: Difference) -> list[int]:
+    """Ranks of i + z for each rank i in ``ranks``, z the difference ``diff``.
+
+    The whole-list form of ``translate``: one XOR per rank when q = 2;
+    otherwise the distinct ranks move one digit of the support at a time, and
+    a table of them moves the list.
+    """
+    rank, support, symbols = diff
+    if q == 2:
+        return [i ^ rank for i in ranks]
+    distinct = list(dict.fromkeys(ranks))
+    moved = distinct
+    for p, s in zip(support, symbols):
+        moved = [j + ((j // p + s) % q - j // p % q) * p for j in moved]
+    return list(map(dict(zip(distinct, moved)).__getitem__, ranks))
 
 
 def weights(q: int, n: int) -> bytes:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain, product, repeat
 from operator import mul
 
 from .fields import (
@@ -24,7 +25,7 @@ from .fields import (
     _count_over,
     hamming_distance,
     matrix_rank,
-    translate,
+    translate_ranks,
     weights,
 )
 
@@ -173,12 +174,13 @@ def coset_decomposition(f: FunctionSpec) -> CosetDecomposition:
     """Group the domain by function value, classes ordered by first appearance.
 
     The values of all q^k messages are built in rank form, with no ``eval``
-    per message.  A table f supplies them as its table.  For linear f,
-    appending digit d at position j adds d times column j to the value, so
-    each position maps every value to its q translates by the multiples of
-    that column (the append-a-digit recurrence of ``graph._cayley_rows``).
-    One first-appearance pass then numbers the classes; only the q^l labels
-    are decoded to tuples.
+    or ``translate`` call per message.  A table f supplies them as its table.
+    For linear f the columns are taken last first: a digit d put in front of
+    the messages so far adds d times that column to each value, so each
+    column appends q - 1 copies of the list, each the last one moved by the
+    column (``fields.translate_ranks``), and the ranks stay in order.  One
+    dict numbers the classes in order of first appearance; only the q^l
+    labels are decoded to tuples, each from two tables of half-length words.
     """
     q, k = f.q, f.k
     if _count_over(q, k, ENUMERATION_LIMIT):
@@ -191,23 +193,29 @@ def coset_decomposition(f: FunctionSpec) -> CosetDecomposition:
         assert f.matrix is not None
         places = [q ** (f.l - 1 - p) for p in range(f.l)]
         values = [0]
-        for j in range(k):
+        for j in reversed(range(k)):
             support = tuple(p for p, row in zip(places, f.matrix) if row[j])
-            column = [row[j] for row in f.matrix if row[j]]
-            steps: list[Difference] = [(0, (), ())]
-            for d in range(1, q):
-                symbols = tuple(d * c % q for c in column)
-                steps.append((sum(map(mul, support, symbols)), support, symbols))
-            values = [x for v in values for x in translate(q, v, steps)]
-    seen: dict = {}
-    class_of = tuple(seen.setdefault(v, len(seen)) for v in values)
+            symbols = tuple(row[j] for row in f.matrix if row[j])
+            column: Difference = (sum(map(mul, support, symbols)), support, symbols)
+            copies = [values]
+            for _ in range(1, q):
+                copies.append(translate_ranks(q, copies[-1], column))
+            values = list(chain.from_iterable(copies))
+    seen = dict.fromkeys(values)
+    index = dict(zip(seen, range(len(seen))))
+    class_of = tuple(map(index.__getitem__, values))
     classes: list[list[int]] = [[] for _ in seen]
     for rank, c in enumerate(class_of):
         classes[c].append(rank)
     if f.mode == "table":
         labels = tuple(seen)
     else:
-        labels = tuple(tuple(v // p % q for p in places) for v in seen)
+        # A label is its rank's leading and trailing halves of digits, each
+        # read from a table of q^(l/2) tuples.
+        half = q ** (f.l - f.l // 2)
+        lead = list(product(range(q), repeat=f.l // 2))
+        trail = list(product(range(q), repeat=f.l - f.l // 2))
+        labels = tuple(lead[a] + trail[b] for a, b in map(divmod, seen, repeat(half)))
     return CosetDecomposition(
         q=q, k=k, labels=labels, classes=tuple(map(tuple, classes)), class_of=class_of
     )

@@ -8,21 +8,28 @@ w, outside f's zero class) ride as bit lanes of one length-q^k transform, and
 the eigenvalue at the character (a, b) combines S_w(a) with q-ary Krawtchouk
 sums over the parity weight wt(b).  No length-q^(k+r) row is built.  The
 transform runs in the group ring Z[x]/(x^q - 1), so every step is exact
-integer arithmetic; the connection set is closed under scaling by F_q^*, which
-makes every eigenvalue an integer, and each distinct transform entry is
-checked to be so.
+integer arithmetic; lane w only ever counts members of S_w, so it is sized
+by |S_w|.  The q^k entries are packed into one int, and each digit pass is a
+few whole-row shifts, masks and sums, multiplication by x^m a rotation of
+each entry's q coefficients.  The connection set is closed under scaling by
+F_q^*, which makes every eigenvalue an integer, and each distinct transform
+entry is checked to be so.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate, chain
 from math import comb
-from operator import mul
+from operator import mul, or_
 
 from .fields import ENUMERATION_LIMIT, _count_over, differences, weights
 from .functions import FunctionSpec, _check_t, _require_linear, coset_decomposition
+
+_WORD = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -47,33 +54,75 @@ class Spectrum:
 
 def _transform(values: list[int], q: int, width: int) -> list[int]:
     """The transform over (Z_q)^n of a length-q^n list, in Z[x]/(x^q - 1) with
-    x carried as 2^width: entry j is sum_c B_c x^c mod 2^(q*width) - 1, B_c the
-    sum of the values at the i with i.j = c; exact while each B_c < 2^(width-1)."""
+    x carried as 2^width: entry j is sum_c B_c x^c, B_c the sum of the values
+    at the i with i.j = c; exact while each B_c < 2^width.  Every input entry
+    must fit in q*width bits.
+
+    The entries ride in one int, entry i at bit i * stride, stride a whole
+    number of 64-bit words.  Each digit pass is a few whole-row shifts, masks
+    and sums (``_digit_pass``), and x^m rotates the q lanes of every entry."""
+    size = len(values)
     n_digits = 0
-    while q**n_digits < len(values):
+    while q**n_digits < size:
         n_digits += 1
-    if q**n_digits != len(values):
-        raise ValueError(f"row length {len(values)} is not a power of {q}")
+    if q**n_digits != size:
+        raise ValueError(f"row length {size} is not a power of {q}")
     top = q * width
-    modulus = (1 << top) - 1
-    values = list(values)
-    # Transform the leading digit and move it to the end; after n_digits
-    # passes every digit is transformed and back in place.  Shifted sums
-    # (j > 0) fold their bits above 2^top back onto the low ones (x^q = 1);
-    # j = 0 only adds, at most log2 of the length in bits over all passes.
-    # Entries so stay below 2^(top + width) instead of growing every pass.
-    part = len(values) // q
+    if min(values) < 0 or max(values) >> top:
+        raise ValueError(f"transform entry does not fit in q*width = {top} bits")
+    words = -(-top // 64)
+    nbytes = 8 * words * size
+    # One little-endian 64-bit word after another, low word of an entry first.
+    layout = f"<{words * size}Q"
+    if words > 1:
+        parts = [[v >> 64 * w & _WORD for v in values] for w in range(words)]
+        values = list(chain.from_iterable(zip(*parts)))
+    row = int.from_bytes(struct.pack(layout, *values), "little")
+    del values  # with several words, the interleaved list is no longer needed
+
+    def replicate(pattern: int, period: int) -> int:
+        # ``pattern`` repeated every ``period`` bytes along the row.
+        block = pattern.to_bytes(period, "little")
+        return int.from_bytes(block * (nbytes // period), "little")
+
+    # wrap[m - 1] holds the top m lanes of every entry.
+    wrap = [
+        replicate((1 << top) - (1 << (q - m) * width), 8 * words) for m in range(1, q)
+    ]
+    # Entries one apart in the digit of the pass sit step bits apart.
+    step = 64 * words
     for _ in range(n_digits):
-        chunks = [values[s * part : (s + 1) * part] for s in range(q)]
-        for j in range(q):
-            acc = chunks[0]
-            for s in range(1, q):
-                shift = j * s % q * width
-                acc = [a + (b << shift) for a, b in zip(acc, chunks[s])]
-            if j:
-                acc = [(v & modulus) + (v >> top) for v in acc]
-            values[j::q] = acc
-    return [v % modulus for v in values]
+        # The entries whose digit is 0 come in runs of step bits, q * step apart.
+        zero = replicate((1 << step) - 1, q * step // 8)
+        row = _digit_pass(row, q, step, zero, width, wrap)
+        step *= q
+    out = struct.unpack(layout, row.to_bytes(nbytes, "little"))
+    entries = list(out[words - 1 :: words])
+    for w in range(words - 2, -1, -1):
+        entries = [e << 64 | v for e, v in zip(entries, out[w::words])]
+    return entries
+
+
+def _digit_pass(
+    row: int, q: int, step: int, zero: int, width: int, wrap: list[int]
+) -> int:
+    """One digit of ``_transform`` on a packed row whose entries step bits
+    apart differ by one in that digit, ``zero`` masking those where it is 0:
+    output digit j sums x^(j*s) times input digit s."""
+    digit = [row & zero] + [row >> s * step & zero for s in range(1, q)]
+    # x^0 gathers every digit at j = 0 and digit 0 at every j.
+    out = digit[0]
+    for s in range(1, q):
+        out += digit[s] + (digit[0] << s * step)
+    for m in range(1, q):
+        # Digit s = m / j lands at j as x^m; all of them rotate at once, the
+        # lanes below q - m moving up m places and the top m wrapping to the
+        # bottom, so no lane spills into the next entry.
+        moved = [digit[m * pow(j, -1, q) % q] << j * step for j in range(1, q)]
+        v = reduce(or_, moved)
+        top = v & wrap[m - 1]
+        out += (v - top) << m * width | top >> (q - m) * width
+    return out
 
 
 def _coefficients(v: int, q: int, width: int) -> tuple[int, int]:
@@ -121,27 +170,35 @@ def _shell_transform(f: FunctionSpec, t: int) -> tuple[list[int], dict[int, tupl
     """The length-q^k transform of the message shells, and the tuple
     (S_1(a), ..., S_W(a)) of each distinct entry, W = min(2t, k), S_w(a) the
     transform of the shell {z : wt(z) = w, f(z) != f(0)} at the character a.
-    The shells ride as bit lanes of one row, 1 in lane w at each z of S_w.  A lane
-    counts under q^k < 2^(lane-1), so none carries into the next: one transform
-    gives every shell, and only its distinct entries are certified and split."""
+    The shells ride as bit lanes of one row, 1 in lane w at each z of S_w.  A
+    lane counts members of its shell, so lane w takes |S_w|.bit_length() bits
+    and never carries into the next: one transform gives every shell, and only
+    its distinct entries are certified and split."""
     _check_t(t)
     q, k = f.q, f.k
     cls = coset_decomposition(f).class_of
-    W = min(2 * t, k)
-    lane = (q**k).bit_length() + 1
+    zero = cls[0]
+    shells: list[list[int]] = [[] for _ in range(min(2 * t, k))]
+    for z, support, _ in differences(q, k, 1, len(shells)):
+        if cls[z] != zero:
+            shells[len(support) - 1].append(z)
+    lanes = [len(members).bit_length() for members in shells]
+    offsets = [0, *accumulate(lanes)]
+    masks = [(1 << n) - 1 for n in lanes]
     row = [0] * q**k
-    for z, support, _ in differences(q, k, 1, W):
-        if cls[z] != cls[0]:
-            row[z] = 1 << (len(support) - 1) * lane
-    width, mask = W * lane, (1 << lane) - 1
+    for members, offset in zip(shells, offsets):
+        for z in members:
+            row[z] = 1 << offset
+    # A constant f has only empty shells; one bit keeps the width positive.
+    width = offsets[-1] or 1
     entries = _transform(row, q, width)
-    shells = {}
+    split = {}
     for v in set(entries):
         b0, b1 = _coefficients(v, q, width)
-        shells[v] = tuple(
-            (b0 >> s & mask) - (b1 >> s & mask) for s in range(0, width, lane)
+        split[v] = tuple(
+            (b0 >> s & m) - (b1 >> s & m) for s, m in zip(offsets, masks)
         )
-    return entries, shells
+    return entries, split
 
 
 def _eigenvalues(q: int, t: int, r: int, shells: list[tuple]) -> list[list[int]]:

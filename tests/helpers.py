@@ -5,8 +5,9 @@ algorithms: itertools enumeration instead of rank arithmetic, dense nested
 loops instead of bit tricks, plain recursion instead of branch-and-bound.
 If a library result and an oracle result disagree, trust the oracle.
 The exceptions are ``reference_mis``, the solver's own search in plain bit
-order, ``row_spectrum``, the library's group-ring transform run on a whole
-length-q^(k+r) row instead of the message shells, ``reference_optimality``,
+order, ``slow_transform``, the group-ring transform one entry at a time,
+``row_spectrum``, that transform run on a whole length-q^(k+r) row instead
+of the message shells, ``reference_optimality``,
 the certificate's search against a built function-distance matrix, and
 ``reference_code_graph``, the A_q code graph built one word at a time, kept
 to check that the library's faster kernels explore the same trees.
@@ -18,7 +19,6 @@ import itertools
 from fractions import Fraction
 from operator import sub
 
-import fcclib.spectrum
 from fcclib import (
     BudgetExceededError,
     MisResult,
@@ -332,12 +332,42 @@ def connection_row(f, t, r):
     return row
 
 
+def slow_transform(values, q, width):
+    """The group-ring transform of a length-q^n list, one entry at a time:
+    in Z[x]/(x^q - 1) with x carried as 2^width, entry j is sum_c B_c x^c
+    mod 2^(q*width) - 1, B_c the sum of the values at the i with i.j = c;
+    exact while each B_c < 2^(width-1)."""
+    n_digits = 0
+    while q**n_digits < len(values):
+        n_digits += 1
+    if q**n_digits != len(values):
+        raise ValueError(f"row length {len(values)} is not a power of {q}")
+    top = q * width
+    modulus = (1 << top) - 1
+    values = list(values)
+    # Transform the leading digit and move it to the end; after n_digits
+    # passes every digit is transformed and back in place.  Shifted sums
+    # fold their bits above 2^top back onto the low ones (x^q = 1).
+    part = len(values) // q
+    for _ in range(n_digits):
+        chunks = [values[s * part : (s + 1) * part] for s in range(q)]
+        for j in range(q):
+            acc = chunks[0]
+            for s in range(1, q):
+                shift = j * s % q * width
+                acc = [a + (b << shift) for a, b in zip(acc, chunks[s])]
+            if j:
+                acc = [(v & modulus) + (v >> top) for v in acc]
+            values[j::q] = acc
+    return [v % modulus for v in values]
+
+
 def row_spectrum(row, q):
     """Every eigenvalue of the Cayley graph on F_q^n whose 0/1 row 0 is
     ``row``, in rank order: the group-ring transform of the whole
     length-q^n row, each distinct entry certified an integer and decoded."""
     width = len(row).bit_length() + 1
-    values = fcclib.spectrum._transform(row, q, width)
+    values = slow_transform(row, q, width)
     eigen = {v: sub(*_coefficients(v, q, width)) for v in set(values)}
     return tuple(map(eigen.__getitem__, values))
 

@@ -19,6 +19,7 @@ from fcclib.fields import (
     negated_difference,
     translate,
     translate_mask,
+    translate_ranks,
     weights,
 )
 from helpers import all_words, slow_distance, slow_weight
@@ -167,6 +168,11 @@ def test_differences_and_translate_match_symbolwise_addition():
             for i, u in enumerate(words):
                 sums = [tuple((a + b) % q for a, b in zip(u, z)) for z in zs]
                 assert translate(q, i, diffs) == [words.index(s) for s in sums]
+            # the whole-list form, on a list that repeats ranks
+            ranks = [*range(len(words)), *range(len(words) - 1, -1, -2), 0]
+            for diff, z in zip(diffs, zs):
+                sums = [tuple((a + b) % q for a, b in zip(words[i], z)) for i in ranks]
+                assert translate_ranks(q, ranks, diff) == [words.index(s) for s in sums]
 
 
 def test_negated_difference_subtracts_its_rank():
