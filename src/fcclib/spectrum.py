@@ -72,13 +72,7 @@ def _transform(values: list[int], q: int, width: int) -> list[int]:
         raise ValueError(f"transform entry does not fit in q*width = {top} bits")
     words = -(-top // 64)
     nbytes = 8 * words * size
-    # One little-endian 64-bit word after another, low word of an entry first.
-    layout = f"<{words * size}Q"
-    if words > 1:
-        parts = [[v >> 64 * w & _WORD for v in values] for w in range(words)]
-        values = list(chain.from_iterable(zip(*parts)))
-    row = int.from_bytes(struct.pack(layout, *values), "little")
-    del values  # with several words, the interleaved list is no longer needed
+    row = _pack(values, words)
 
     def replicate(pattern: int, period: int) -> int:
         # ``pattern`` repeated every ``period`` bytes along the row.
@@ -96,7 +90,21 @@ def _transform(values: list[int], q: int, width: int) -> list[int]:
         zero = replicate((1 << step) - 1, q * step // 8)
         row = _digit_pass(row, q, step, zero, width, wrap)
         step *= q
-    out = struct.unpack(layout, row.to_bytes(nbytes, "little"))
+    return _unpack(row, size, words)
+
+
+def _pack(values: list[int], words: int) -> int:
+    """The entries as one int, entry i at bit 64 * words * i: one
+    little-endian 64-bit word after another, the low word of an entry first."""
+    if words > 1:
+        parts = [[v >> 64 * w & _WORD for v in values] for w in range(words)]
+        values = list(chain.from_iterable(zip(*parts)))
+    return int.from_bytes(struct.pack(f"<{len(values)}Q", *values), "little")
+
+
+def _unpack(row: int, size: int, words: int) -> list[int]:
+    """The ``size`` entries that ``_pack`` put into ``row``."""
+    out = struct.unpack(f"<{words * size}Q", row.to_bytes(8 * words * size, "little"))
     entries = list(out[words - 1 :: words])
     for w in range(words - 2, -1, -1):
         entries = [e << 64 | v for e, v in zip(entries, out[w::words])]
