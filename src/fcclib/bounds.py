@@ -14,7 +14,7 @@ from functools import lru_cache
 from time import monotonic
 
 from .distance import _fdm_search, _pairwise_plotkin
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, SizeLimitError
 from .fields import (
     VectorIndex,
     _check_prime,
@@ -53,9 +53,9 @@ class AqEstimate:
     """An estimate of the largest q-ary code of length n and distance d.
 
     ``kind`` records how the value was obtained: "exact", "hamming_upper",
-    "singleton_upper", or "table_exact"/"table_upper"/"table_lower" for
-    externally supplied rows.  ``witness`` (exact kind) holds a code of the
-    stated size.
+    "singleton_upper", "plotkin_upper", or "table_exact"/"table_upper"/
+    "table_lower" for externally supplied rows.  ``witness`` (exact kind)
+    holds a code of the stated size.
     """
 
     q: int
@@ -135,7 +135,8 @@ def a_q_exact(
 
 
 def a_q_upper(q: int, n: int, d: int, method: str) -> AqEstimate:
-    """Classical closed-form upper bounds on the largest code size."""
+    """Classical closed-form upper bounds on the largest code size: method
+    "hamming", "singleton" or "plotkin"."""
     _check_prime(q)
     if n < 0 or d < 1:
         raise ValueError("need n >= 0 and d >= 1")
@@ -148,6 +149,21 @@ def a_q_upper(q: int, n: int, d: int, method: str) -> AqEstimate:
     elif method == "singleton":
         kind = "singleton_upper"
         value = q ** max(n - d + 1, 0)
+    elif method == "plotkin":
+        # floor(d / (d - theta n)), theta = (q-1)/q, while d > theta n; for
+        # q = 2 the even-d form 2 floor(d / (2d - n)) (4d at n = 2d), reached
+        # from odd d through A(n, d) = A(n+1, d+1).  Past its range the bound
+        # says nothing: the value is then q^n.
+        kind = "plotkin_upper"
+        e, m = d + d % 2, n + d % 2
+        if d > n:
+            value = 1
+        elif q == 2 and m <= 2 * e:
+            value = 4 * e if m == 2 * e else 2 * (e // (2 * e - m))
+        elif q > 2 and q * d > (q - 1) * n:
+            value = q * d // (q * d - (q - 1) * n)
+        else:
+            value = q**n
     else:
         raise ValueError(f"unknown method {method!r}")
     return AqEstimate(q=q, n=n, d=d, value=value, kind=kind)
@@ -205,6 +221,19 @@ def theorem1_bound(f: FunctionSpec, t: int, alpha: int) -> int:
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
     return _least_redundancy(f.q, f.k, alpha)
+
+
+def systematic_bound(q: int, l: int, d: int) -> int:
+    """Smallest r at which the Hamming, Singleton and Plotkin bounds on
+    A_q(l + r, d) all reach q^l: a lower bound on the redundancy of any
+    systematic (l + r, q^l, d) code."""
+    r = 0
+    while any(
+        a_q_upper(q, l + r, d, method).value < q**l
+        for method in ("hamming", "singleton", "plotkin")
+    ):
+        r += 1
+    return r
 
 
 def two_t_bound(f: FunctionSpec, t: int) -> int:
@@ -425,13 +454,19 @@ def compare_report(
 
 @dataclass(frozen=True)
 class BoundEntry:
-    """One bound in a report: sense is "lower" or "upper" (on redundancy)."""
+    """One bound in a report: sense is "lower" or "upper" (on redundancy).
+
+    ``limit`` says what kept a value from the entry: "budget" (a search ran
+    out of nodes or time), "size" (a search refused its input before it
+    started), "skipped" (the row could not beat a lower row already found)
+    or "" (a value, or a row that does not apply)."""
 
     name: str
     sense: str
     rational: Fraction | None
     integer: int | None
     note: str = ""
+    limit: str = ""
 
 
 @dataclass(frozen=True)
@@ -447,6 +482,16 @@ class _NotApplicable(Exception):
     """Raised by a bound provider that does not apply; the message is the
     entry's note."""
 
+    limit = ""
+
+
+class _TooLarge(_NotApplicable):  # refused on the input's size
+    limit = "size"
+
+
+class _Skipped(_NotApplicable):  # cannot beat a row already found
+    limit = "skipped"
+
 
 def bound_report(
     f: FunctionSpec,
@@ -457,9 +502,17 @@ def bound_report(
 ) -> BoundReport:
     """Assemble every applicable bound for (f, t), recording per-entry
     assumptions; inapplicable entries carry a reason instead of a value, and
-    entries blocked by a solver budget carry a note prefixed "budget: "."""
+    entries blocked by a solver budget or a size limit carry a note prefixed
+    "budget: " (``BoundEntry.limit`` tells the two apart).
+
+    Rows run cheapest first, in the order listed.  The independence row
+    can beat the best lower row B before it only while alpha < q^(k-B): a
+    class of f that large skips it, and otherwise the search stops once it
+    holds such a set.  A skipped row's note gives the set's size, the cap
+    it puts on the row, and the row that dominates it."""
     _check_t(t)
     q, k = f.q, f.k
+    entries: list[BoundEntry] = []
 
     # Each provider returns (rational, integer, note) or raises
     # _NotApplicable; integer-valued bounds are reported through whole.
@@ -486,13 +539,12 @@ def bound_report(
             raise _NotApplicable(str(exc)) from exc
         return val, _ceil_frac(val), "average over all requirement pairs"
 
-    def independence():
-        if q**k > EXACT_ALPHA_LIMIT:
-            raise _NotApplicable(f"q^k = {q ** k} exceeds the exact-solver limit")
-        alpha = max_independent_set(
-            build_graph(f, t, 0).rows, node_budget=node_budget, deadline=deadline
-        ).size
-        return whole(theorem1_bound(f, t, alpha), f"exact alpha = {alpha} at r=0")
+    def systematic():
+        if f.mode != "linear" or f.l < 1:
+            raise _NotApplicable("needs a non-constant linear function")
+        # The q^l messages on an information set are a systematic code.
+        note = "closed-form code-size bounds through an information set"
+        return whole(systematic_bound(q, f.l, 2 * t + 1), note)
 
     def eigenvalue():
         if f.mode != "linear":
@@ -500,6 +552,27 @@ def bound_report(
         res = eigenvalue_redundancy_bound(f, t, r_max)
         note = "scan exhausted; true bound may be larger" if res.exhausted else ""
         return whole(res.value, note)
+
+    def independence():
+        if q**k > EXACT_ALPHA_LIMIT:
+            raise _TooLarge(f"q^k = {q ** k} exceeds the exact-solver limit")
+        best = max(
+            (e for e in entries if e.integer is not None), key=lambda e: e.integer
+        )
+        cap = q ** max(k - best.integer, 0)
+        # A class of f is independent: no two of its messages conflict.
+        size = max(map(len, coset_decomposition(f).classes))
+        if size < cap:
+            rows = build_graph(f, t, 0).rows
+            res = max_independent_set(rows, cap, node_budget, deadline)
+            if res.complete:
+                note = f"exact alpha = {res.size} at r=0"
+                return whole(theorem1_bound(f, t, res.size), note)
+            size = res.size
+        raise _Skipped(
+            f"skipped: an independent set of {size} caps this row at "
+            f"{theorem1_bound(f, t, size)}; {best.name} gives {best.integer}"
+        )
 
     def code_search():
         try:
@@ -512,19 +585,21 @@ def bound_report(
         ("distance_2t", "lower", distance_2t),
         ("linear_averaging", "lower", linear_averaging),
         ("pairwise_averaging", "lower", pairwise_averaging),
-        ("independence", "lower", independence),
+        ("systematic", "lower", systematic),
         ("eigenvalue", "lower", eigenvalue),
+        ("independence", "lower", independence),
         ("code_search", "upper", code_search),
     )
-    entries = []
     for name, sense, provide in providers:
+        limit = ""
         try:
             rational, integer, note = provide()
         except _NotApplicable as exc:
-            rational, integer, note = None, None, str(exc)
+            rational, integer, note, limit = None, None, str(exc), exc.limit
         except BudgetExceededError as exc:
             rational, integer, note = None, None, f"budget: {exc}"
-        entries.append(BoundEntry(name, sense, rational, integer, note))
+            limit = "size" if isinstance(exc, SizeLimitError) else "budget"
+        entries.append(BoundEntry(name, sense, rational, integer, note, limit))
 
     optimal: bool | None = None
     if f.mode == "linear":

@@ -182,12 +182,14 @@ def cmd_bounds(args, argv) -> int:
             "value": e.integer,
             "exact": None if e.rational is None else str(e.rational),
             "note": e.note,
+            "limit": e.limit,
         }
         for e in report.entries
     ]
     _write(args, argv, payload, lambda lines: render_bounds_csv(report, lines))
-    # A partial report is still printed, but budget-blocked entries flag the run.
-    if any(e.note.startswith("budget: ") for e in report.entries):
+    # A partial report is still printed, but an entry whose search ran out
+    # of budget flags the run; a size refusal or a skipped row does not.
+    if any(e.limit == "budget" for e in report.entries):
         return EX_BUDGET
     return EX_OK
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from time import monotonic
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, SizeLimitError
 from .fields import (
     FieldVec,
     VectorIndex,
@@ -225,7 +225,7 @@ class NqSearchResult:
 def _refuse_order(order: int) -> None:
     """Refuse a matrix order above DEFAULT_MAX_ORDER (read at call time)."""
     if order > DEFAULT_MAX_ORDER:
-        raise BudgetExceededError(
+        raise SizeLimitError(
             f"matrix order {order} exceeds the search limit {DEFAULT_MAX_ORDER}"
         )
 
@@ -281,8 +281,8 @@ def n_q_exact(
     satisfy it), so the first success is minimal; each row's admissible words
     are a bitmask of ranks, tried lowest first.  Exhausting r_cap yields a
     ``found=False`` result; a non-prime q or an empty D raises ValueError, an
-    order above DEFAULT_MAX_ORDER or running past ``deadline``
-    BudgetExceededError.
+    order above DEFAULT_MAX_ORDER SizeLimitError, and running past
+    ``deadline`` BudgetExceededError.
     """
     _check_prime(q)
     if D.order == 0:

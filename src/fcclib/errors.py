@@ -16,6 +16,11 @@ class BudgetExceededError(RuntimeError):
         self.best_upper = best_upper
 
 
+class SizeLimitError(BudgetExceededError):
+    """A search refused before it started, its input above a size limit: no
+    budget was spent, and raising the budget would not help."""
+
+
 class CodeNotFoundError(RuntimeError):
     """A completed exact search proved that no code with the requested
     parameters exists (a negative result, not a failure to decide)."""

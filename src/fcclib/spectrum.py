@@ -71,25 +71,29 @@ def _transform(values: list[int], q: int, width: int) -> list[int]:
     if min(values) < 0 or max(values) >> top:
         raise ValueError(f"transform entry does not fit in q*width = {top} bits")
     words = -(-top // 64)
-    nbytes = 8 * words * size
     row = _pack(values, words)
-
-    def replicate(pattern: int, period: int) -> int:
-        # ``pattern`` repeated every ``period`` bytes along the row.
-        block = pattern.to_bytes(period, "little")
-        return int.from_bytes(block * (nbytes // period), "little")
-
     # wrap[m - 1] holds the top m lanes of every entry.
-    wrap = [
-        replicate((1 << top) - (1 << (q - m) * width), 8 * words) for m in range(1, q)
-    ]
-    # Entries one apart in the digit of the pass sit step bits apart.
-    step = 64 * words
-    for _ in range(n_digits):
-        # The entries whose digit is 0 come in runs of step bits, q * step apart.
-        zero = replicate((1 << step) - 1, q * step // 8)
+    wrap = []
+    for m in range(1, q):
+        lanes = ((1 << top) - (1 << (q - m) * width)).to_bytes(8 * words, "little")
+        wrap.append(int.from_bytes(lanes * size, "little"))
+    # The digits run from the top down.  Entries one apart in the digit of
+    # the pass sit step bits apart, and those whose digit is 0 come in runs
+    # of step bits, q * step apart: zero masks them.
+    step = 64 * words * size // q
+    zero = (1 << step) - 1
+    for i in range(n_digits):
+        if i:
+            # The digit below: one shift and one XOR give the first two runs
+            # of each q * step bits, shifted copies of those the other q - 2.
+            step //= q
+            zero ^= zero << step
+            runs = 2
+            while runs < q:
+                more = min(runs, q - runs)
+                zero |= zero << more * q * step
+                runs += more
         row = _digit_pass(row, q, step, zero, width, wrap)
-        step *= q
     return _unpack(row, size, words)
 
 

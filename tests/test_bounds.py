@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -14,6 +15,7 @@ from fcclib import (
     AqEstimate,
     AqTable,
     BudgetExceededError,
+    SizeLimitError,
     a_q_auto,
     a_q_exact,
     a_q_upper,
@@ -23,8 +25,10 @@ from fcclib import (
     bounds,
     build_drm,
     build_fdm,
+    build_graph,
     compare_report,
     fdm_upper_bound,
+    independence_number,
     linear_function,
     optimality_check,
     plotkin_linear_bound,
@@ -34,14 +38,17 @@ from fcclib import (
     two_t_bound,
     zll_bound,
 )
+from fcclib.bounds import systematic_bound
 from fcclib.distance import _pairwise_plotkin
 from fcclib.fields import VectorIndex, differences
 from fcclib.graph import _cayley_rows
 from fcclib.mis import _bits, max_independent_set
 from helpers import (
+    brute_alpha,
     rand_linear,
     rand_table,
     reference_code_graph,
+    reference_mis,
     reference_optimality,
     slow_code_graph,
     slow_distance,
@@ -52,8 +59,9 @@ ENTRY_NAMES = (
     "distance_2t",
     "linear_averaging",
     "pairwise_averaging",
-    "independence",
+    "systematic",
     "eigenvalue",
+    "independence",
     "code_search",
 )
 
@@ -138,6 +146,16 @@ def test_upper_bound_closed_forms():
     assert a_q_upper(2, 12, 7, "singleton").value == 64
     assert a_q_upper(3, 5, 5, "singleton").value == 3
     assert a_q_upper(2, 3, 7, "hamming").value == 1
+    # Plotkin, where it is tight: A(16,8) = A(15,7) = 32 (first-order
+    # Reed-Muller), A(10,6) = 6, A(11,7) = 4, A_3(4,3) = 9 (tetracode)
+    for q, n, d, value in [
+        (2, 16, 8, 32), (2, 15, 7, 32), (2, 10, 6, 6), (2, 11, 7, 4), (3, 4, 3, 9)
+    ]:
+        est = a_q_upper(q, n, d, "plotkin")
+        assert (est.value, est.kind) == (value, "plotkin_upper")
+    # past its range the bound says nothing
+    assert a_q_upper(2, 17, 8, "plotkin").value == 2**17
+    assert a_q_upper(3, 5, 3, "plotkin").value == 3**5
     with pytest.raises(ValueError):
         a_q_upper(2, 12, 7, "elias")
 
@@ -151,6 +169,22 @@ def test_upper_bounds_dominate_exact_values():
         exact = a_q_exact(q, n, d).value
         assert exact <= a_q_upper(q, n, d, "hamming").value
         assert exact <= a_q_upper(q, n, d, "singleton").value
+
+
+def test_plotkin_estimate_dominates_exact_values():
+    searched = 0
+    for q in (2, 3, 5, 7):
+        for n in range(1, 11):
+            if q**n > 2**10:
+                break
+            for d in range(1, n + 2):
+                try:
+                    exact = a_q_exact(q, n, d, 2_000).value
+                except BudgetExceededError:
+                    continue
+                searched += 3 <= d <= n
+                assert exact <= a_q_upper(q, n, d, "plotkin").value, (q, n, d)
+    assert searched >= 35
 
 
 def test_auto_estimate_policy():
@@ -594,23 +628,128 @@ def test_report_builds_no_drm_and_no_connection_row(monkeypatch):
     assert lengths and max(lengths) <= proj6.q**proj6.k
 
 
-def test_report_on_a_graph_whose_alpha_exceeds_the_recursion_limit():
+def test_report_on_a_graph_whose_alpha_exceeds_the_recursion_limit(monkeypatch):
     # f reads one of 11 bits: the 2,048-vertex r=0 graph has alpha = 1,024,
     # a clique of that depth in the complement
     f = linear_function(2, [(1,) + (0,) * 10])
+    res = independence_number(build_graph(f, 1, 0))
+    assert (res.size, res.complete) == (1024, True)
+    assert theorem1_bound(f, 1, res.size) == 1
+    # The report's row is skipped on f's classes alone: a class of 1,024
+    # caps it at 1, under distance_2t's 2, and no graph is built.
+    monkeypatch.setattr(bounds, "build_graph", None)
     report = bound_report(f, 1)
     entry = next(e for e in report.entries if e.name == "independence")
-    assert entry.note == "exact alpha = 1024 at r=0"
-    assert entry.integer == 1
+    assert (entry.integer, entry.limit) == (None, "skipped")
+    assert entry.note == (
+        "skipped: an independent set of 1024 caps this row at 1; distance_2t gives 2"
+    )
 
 
-def test_report_budget_notes(ex_q2_k4):
-    report = bound_report(ex_q2_k4, 1, node_budget=1)
+def test_report_budget_notes():
+    # f keeps 4 of 5 bits: every lower row is at most 3 < l = 4, so a class
+    # (2 messages) is below the gate's target 2^(5-3) and the search runs
+    f = linear_function(2, [[int(j == i) for j in range(5)] for i in range(4)])
+    report = bound_report(f, 1, node_budget=1)
     by_name = {e.name: e for e in report.entries}
     assert by_name["independence"].integer is None
     assert by_name["independence"].note.startswith("budget: ")
+    assert by_name["independence"].limit == "budget"
     # the other routes still produced values
     assert by_name["code_search"].integer == 3
+    assert all(e.limit == "" for e in report.entries if e.name != "independence")
+
+
+def test_report_tells_refusals_from_budget_exits():
+    proj6 = _bounds_cells()[0][0]
+    report = bound_report(proj6, 3, node_budget=2_000)
+    by_name = {e.name: e for e in report.entries}
+    search = by_name["code_search"]
+    assert search.note == "budget: matrix order 64 exceeds the search limit 20"
+    assert search.limit == "size"
+    assert by_name["independence"].limit == "skipped"
+    k12 = _bounds_cells()[3][0]
+    entry = next(e for e in bound_report(k12, 1).entries if e.name == "independence")
+    assert entry.note == "q^k = 4096 exceeds the exact-solver limit"
+    assert entry.limit == "size"
+    with pytest.raises(SizeLimitError):
+        fdm_upper_bound(proj6, 3)
+
+
+def _gate_cases():
+    rng = random.Random(20261020)
+    cases = []
+    for _ in range(90):
+        q = rng.choice([2, 3])
+        k = rng.randrange(1, 7 if q == 2 else 5)
+        if rng.random() < 0.5:
+            f = rand_linear(rng, q, k, rng.randrange(0, k + 1))
+        else:
+            f = rand_table(rng, q, k, rng.randrange(1, q**k + 1))
+        cases.append((f, rng.randrange(1, 3)))
+    return cases
+
+
+def test_independence_gate_skips_only_rows_that_cannot_win(monkeypatch):
+    # the parity search is not under test: small images only
+    monkeypatch.setattr(fcclib.distance, "DEFAULT_MAX_ORDER", 6)
+    ran = skipped = 0
+    for f, t in _gate_cases():
+        report = bound_report(f, t)
+        names = [e.name for e in report.entries]
+        row = report.entries[names.index("independence")]
+        before = [e.integer for e in report.entries[: names.index("independence")]]
+        best = max(v for v in before if v is not None)
+        rows = build_graph(f, t, 0).rows
+        alpha = reference_mis(rows).size
+        if f.q**f.k <= 16:
+            assert brute_alpha(rows) == alpha
+        if row.limit == "skipped":
+            skipped += 1
+            assert theorem1_bound(f, t, alpha) <= best
+            # the note's set is real, its cap right, its row the best one
+            size, cap, name, value = re.fullmatch(
+                r"skipped: an independent set of (\d+) caps this row at (\d+);"
+                r" (\w+) gives (\d+)",
+                row.note,
+            ).groups()
+            assert int(size) <= alpha and row.integer is None
+            assert int(cap) == theorem1_bound(f, t, int(size)) <= best
+            assert before[names.index(name)] == int(value) == best
+        else:
+            ran += 1
+            assert row.limit == ""
+            assert row.integer == theorem1_bound(f, t, alpha)
+            assert row.note == f"exact alpha = {alpha} at r=0"
+    assert ran >= 5 and skipped >= 20
+
+
+def test_systematic_row_never_exceeds_the_code_search():
+    k12 = _bounds_cells()[3][0]
+    cells = _bounds_cells()[3:] + [(k12, 2), (k12, 3)]
+    cells += [(f, t) for f, t in _gate_cases() if f.mode == "linear"]
+    compared = 0
+    for f, t in cells:
+        values = {e.name: e.integer for e in bound_report(f, t).entries}
+        if f.l == 0:
+            assert values["systematic"] is None
+        elif values["code_search"] is not None:
+            compared += 1
+            assert values["systematic"] <= values["code_search"]
+    assert compared >= 20
+    # k12 (l = 2): the Plotkin term makes the row meet the search
+    assert [systematic_bound(2, 2, 2 * t + 1) for t in (1, 2, 3)] == [3, 6, 9]
+    assert [systematic_bound(2, 6, 2 * t + 1) for t in (1, 2, 3)] == [4, 7, 10]
+
+
+def test_systematic_row_is_at_most_the_exact_scan():
+    for q, l, d in [(2, 1, 3), (2, 2, 3), (2, 3, 3), (2, 4, 3), (2, 1, 5),
+                    (2, 2, 5), (2, 1, 7), (2, 2, 7), (3, 1, 3), (3, 2, 3),
+                    (3, 1, 5), (5, 1, 3), (7, 1, 3)]:
+        r = 0
+        while a_q_exact(q, l + r, d).value < q**l:
+            r += 1
+        assert systematic_bound(q, l, d) <= r, (q, l, d)
 
 
 def test_sandwich_invariant_on_random_instances():

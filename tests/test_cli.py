@@ -138,20 +138,38 @@ def test_bounds_csv_format(capsys, data_dir):
     assert code == EX_OK
     lines = [l for l in out.splitlines() if not l.startswith("#")]
     assert lines[0] == "name,sense,value,exact,note"
-    assert len(lines) == 7
+    assert len(lines) == 8
     assert all(len(l.split(",")) == 5 for l in lines[1:])
 
 
-def test_bounds_budget_exit(capsys, data_dir):
+def test_bounds_budget_exit(capsys):
+    # f keeps 4 of 5 bits: no lower row reaches l = 4, so the independent-set
+    # search runs, and one node is not enough for it
+    block = ";".join("".join(str(int(j == i)) for j in range(5)) for i in range(4))
     code, payload, _ = run_json(
-        capsys, "bounds", "--func", str(data_dir / "ex_q2_k4.func"), "--t", "1",
-        "--budget-nodes", "1",
+        capsys, "bounds", "--matrix", block, "--t", "1", "--budget-nodes", "1",
     )
     assert code == EX_BUDGET
     by_name = {e["name"]: e for e in payload["entries"]}
     assert by_name["independence"]["note"].startswith("budget: ")
+    assert by_name["independence"]["limit"] == "budget"
     # the report is still emitted with every other entry populated
     assert by_name["code_search"]["value"] == 3
+
+
+def test_bounds_size_refusals_are_not_budget_exits(capsys):
+    # first 6 of 10 bits at t=3: the parity search refuses the order-64
+    # matrix and the independence row is skipped; every search finished
+    block = ";".join("".join(str(int(j == i)) for j in range(10)) for i in range(6))
+    code, payload, _ = run_json(
+        capsys, "bounds", "--matrix", block, "--t", "3", "--budget-nodes", "2000",
+    )
+    assert code == EX_OK
+    by_name = {e["name"]: e for e in payload["entries"]}
+    assert by_name["code_search"]["note"].startswith("budget: matrix order 64")
+    assert by_name["code_search"]["limit"] == "size"
+    assert by_name["independence"]["limit"] == "skipped"
+    assert by_name["systematic"]["value"] == 10
 
 
 def test_alpha_route(capsys, data_dir):
