@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from time import monotonic
 
-from .distance import _fdm_search, _pairwise_plotkin
+from .distance import _fdm_search, _pairwise_plotkin, build_fdm
 from .errors import BudgetExceededError, SizeLimitError
 from .fields import (
     VectorIndex,
@@ -267,7 +267,10 @@ def fdm_upper_bound(
 ) -> int:
     """Achievable redundancy: the exact N_q of the function-distance matrix,
     whose order is checked against the search limit before it is built."""
-    result = _fdm_search(f, t, r_cap, deadline)
+    return _found(_fdm_search(f, t, r_cap, deadline))
+
+
+def _found(result) -> int:  # an exhausted length cap is a budget exit
     if not result.found:
         raise BudgetExceededError(
             f"no parity code found within length cap {result.r_cap}"
@@ -507,12 +510,14 @@ def bound_report(
 
     Rows run cheapest first, in the order listed.  The independence row
     can beat the best lower row B before it only while alpha < q^(k-B): a
-    class of f that large skips it, and otherwise the search stops once it
-    holds such a set.  A skipped row's note gives the set's size, the cap
-    it puts on the row, and the row that dominates it."""
+    class of f that large skips it, or a union of classes pairwise more
+    than 2t apart, chosen greedily from the FDM's zero entries; otherwise
+    the search stops once it holds such a set.  A skipped row's note gives
+    the set's size, the cap it puts on the row, and the row it yields to."""
     _check_t(t)
     q, k = f.q, f.k
     entries: list[BoundEntry] = []
+    fdm = None  # the function-distance matrix, once a row has built it
 
     # Each provider returns (rational, integer, note) or raises
     # _NotApplicable; integer-valued bounds are reported through whole.
@@ -554,14 +559,24 @@ def bound_report(
         return whole(res.value, note)
 
     def independence():
+        nonlocal fdm
         if q**k > EXACT_ALPHA_LIMIT:
             raise _TooLarge(f"q^k = {q ** k} exceeds the exact-solver limit")
         best = max(
             (e for e in entries if e.integer is not None), key=lambda e: e.integer
         )
         cap = q ** max(k - best.integer, 0)
-        # A class of f is independent: no two of its messages conflict.
-        size = max(map(len, coset_decomposition(f).classes))
+        # A class of f is independent: no two of its messages conflict.  So
+        # is a union of classes whose FDM entries are 0 (more than 2t apart).
+        classes = coset_decomposition(f).classes
+        size = max(map(len, classes))
+        if size < cap:
+            fdm, kept = build_fdm(f, t), []
+            for a in sorted(range(len(classes)), key=lambda a: -len(classes[a])):
+                if not any(map(fdm[a].__getitem__, kept)):
+                    kept.append(a)
+            if sum(len(classes[a]) for a in kept) >= cap:
+                size = cap
         if size < cap:
             rows = build_graph(f, t, 0).rows
             res = max_independent_set(rows, cap, node_budget, deadline)
@@ -576,7 +591,7 @@ def bound_report(
 
     def code_search():
         try:
-            val = fdm_upper_bound(f, t, deadline=deadline)
+            val = _found(_fdm_search(f, t, None, deadline, fdm))
         except ValueError as exc:
             raise _NotApplicable(str(exc)) from exc
         return whole(val, "exact parity-code search on the function-distance matrix")

@@ -1,5 +1,6 @@
 """Redundancy bounds: code-size estimates, lower/upper routes, comparisons."""
 
+import json
 import math
 import random
 import re
@@ -27,6 +28,7 @@ from fcclib import (
     build_fdm,
     build_graph,
     compare_report,
+    coset_decomposition,
     fdm_upper_bound,
     independence_number,
     linear_function,
@@ -45,6 +47,7 @@ from fcclib.graph import _cayley_rows
 from fcclib.mis import _bits, max_independent_set
 from helpers import (
     brute_alpha,
+    is_independent,
     rand_linear,
     rand_table,
     reference_code_graph,
@@ -646,18 +649,109 @@ def test_report_on_a_graph_whose_alpha_exceeds_the_recursion_limit(monkeypatch):
     )
 
 
+BUDGET_ROWS = "010010;110110;111010;101110"
+
+
 def test_report_budget_notes():
-    # f keeps 4 of 5 bits: every lower row is at most 3 < l = 4, so a class
-    # (2 messages) is below the gate's target 2^(5-3) and the search runs
-    f = linear_function(2, [[int(j == i) for j in range(5)] for i in range(4)])
+    # k = 6, l = 4: the best lower row is 3, so the gate's target is
+    # 2^(6-3) = 8; a class has 4 messages and no two classes lie more than
+    # 2 apart, so the search runs, and one node is not enough for it
+    f = linear_function(2, [[int(c) for c in row] for row in BUDGET_ROWS.split(";")])
     report = bound_report(f, 1, node_budget=1)
     by_name = {e.name: e for e in report.entries}
     assert by_name["independence"].integer is None
     assert by_name["independence"].note.startswith("budget: ")
     assert by_name["independence"].limit == "budget"
     # the other routes still produced values
-    assert by_name["code_search"].integer == 3
+    assert by_name["code_search"].integer == 4
     assert all(e.limit == "" for e in report.entries if e.name != "independence")
+
+
+def test_report_builds_the_fdm_once(monkeypatch):
+    # the BUDGET_ROWS f: the independence row reads the FDM for its union
+    # and the code_search row searches the same matrix (image 16 <= 20)
+    f = linear_function(2, [[int(c) for c in row] for row in BUDGET_ROWS.split(";")])
+    built = []
+    real = fcclib.distance.build_fdm
+    for module in (fcclib.distance, bounds):
+        monkeypatch.setattr(module, "build_fdm", lambda g, t: built.append(t) or real(g, t))
+    values = {e.name: e.integer for e in bound_report(f, 1, node_budget=1).entries}
+    assert values["code_search"] == 4
+    assert built == [1]
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the independence row built its graph or searched it")
+
+
+def test_far_apart_classes_skip_the_search(monkeypatch):
+    # f keeps 4 of 5 bits: a class has 2 messages, below the target
+    # 2^(5-3) = 4, but two classes 3 apart hold 4 together
+    f = linear_function(2, [[int(j == i) for j in range(5)] for i in range(4)])
+    monkeypatch.setattr(bounds, "max_independent_set", _must_not_run)
+    entry = next(e for e in bound_report(f, 1).entries if e.name == "independence")
+    assert entry.note == (
+        "skipped: an independent set of 4 caps this row at 3; systematic gives 3"
+    )
+    assert entry.limit == "skipped"
+
+
+def test_far_apart_classes_skip_the_t1_projection_cells(monkeypatch, golden_dir):
+    # proj6 t=1: 8 classes of 16 over a distance-3 code reach 64; proj8
+    # t=1: 16 classes of 4 reach 64; neither builds the graph nor searches
+    want = json.loads((golden_dir / "bound_report_cells.json").read_text())
+    monkeypatch.setattr(bounds, "build_graph", _must_not_run)
+    monkeypatch.setattr(bounds, "max_independent_set", _must_not_run)
+    for name, m in (("proj6", 6), ("proj8", 8)):
+        f = linear_function(2, [[int(j == i) for j in range(10)] for i in range(m)])
+        report = bound_report(f, 1, node_budget=2_000)
+        entries = [
+            [e.name, e.sense, None if e.rational is None else str(e.rational),
+             e.integer, e.note]
+            for e in report.entries
+        ]
+        assert {"optimal": report.optimal, "entries": entries} == want[f"{name} t=1"]
+
+
+def _greedy_union(f, t):
+    """The classes bound_report's independence row keeps: largest first,
+    each at FDM entry 0 from every class kept before it."""
+    classes, fdm, kept = coset_decomposition(f).classes, build_fdm(f, t), []
+    for a in sorted(range(len(classes)), key=lambda a: -len(classes[a])):
+        if all(fdm[a][b] == 0 for b in kept):
+            kept.append(a)
+    return [u for a in kept for u in classes[a]]
+
+
+def test_far_apart_union_is_independent_and_its_skips_are_sound(monkeypatch):
+    # the parity search is not under test: small images only.  Ranks l near
+    # k make classes small, where the union, not one class, decides the gate
+    monkeypatch.setattr(fcclib.distance, "DEFAULT_MAX_ORDER", 6)
+    rng = random.Random(20261021)
+    union_skips = 0
+    for _ in range(60):
+        q = rng.choice([2, 2, 3])
+        k = rng.randrange(4, 8) if q == 2 else rng.randrange(2, 5)
+        if rng.random() < 0.7:
+            f = rand_linear(rng, q, k, rng.randrange(max(1, k - 3), k + 1))
+        else:
+            f = rand_table(rng, q, k, rng.randrange(2, min(q**k, 12) + 1))
+        t = rng.randrange(1, 3)
+        rows = build_graph(f, t, 0).rows
+        union = _greedy_union(f, t)
+        assert is_independent(rows, union), (f, t)
+        report = bound_report(f, t, node_budget=1)
+        names = [e.name for e in report.entries]
+        row = report.entries[names.index("independence")]
+        if row.limit == "skipped":
+            before = report.entries[: names.index("independence")]
+            best = max(e.integer for e in before if e.integer is not None)
+            alpha = max_independent_set(rows, node_budget=None).size
+            assert theorem1_bound(f, t, alpha) <= best, (f, t)
+            # skipped by a union, where no single class reached the target
+            largest = max(map(len, coset_decomposition(f).classes))
+            union_skips += largest < q ** max(k - best, 0)
+    assert union_skips >= 5
 
 
 def test_report_tells_refusals_from_budget_exits():

@@ -143,18 +143,33 @@ def test_bounds_csv_format(capsys, data_dir):
 
 
 def test_bounds_budget_exit(capsys):
-    # f keeps 4 of 5 bits: no lower row reaches l = 4, so the independent-set
-    # search runs, and one node is not enough for it
-    block = ";".join("".join(str(int(j == i)) for j in range(5)) for i in range(4))
+    # k = 6, l = 4: no class or union of classes more than 2 apart reaches
+    # the gate's target 2^(6-3), so the independent-set search runs, and one
+    # node is not enough for it
     code, payload, _ = run_json(
-        capsys, "bounds", "--matrix", block, "--t", "1", "--budget-nodes", "1",
+        capsys, "bounds", "--matrix", "010010;110110;111010;101110", "--t", "1",
+        "--budget-nodes", "1",
     )
     assert code == EX_BUDGET
     by_name = {e["name"]: e for e in payload["entries"]}
     assert by_name["independence"]["note"].startswith("budget: ")
     assert by_name["independence"]["limit"] == "budget"
     # the report is still emitted with every other entry populated
-    assert by_name["code_search"]["value"] == 3
+    assert by_name["code_search"]["value"] == 4
+
+
+def test_bounds_skips_the_search_on_far_apart_classes(capsys):
+    # f keeps 4 of 5 bits: two classes 3 apart hold the gate's target 4
+    block = ";".join("".join(str(int(j == i)) for j in range(5)) for i in range(4))
+    code, payload, _ = run_json(
+        capsys, "bounds", "--matrix", block, "--t", "1", "--budget-nodes", "1",
+    )
+    assert code == EX_OK
+    by_name = {e["name"]: e for e in payload["entries"]}
+    assert by_name["independence"]["note"] == (
+        "skipped: an independent set of 4 caps this row at 3; systematic gives 3"
+    )
+    assert by_name["independence"]["limit"] == "skipped"
 
 
 def test_bounds_size_refusals_are_not_budget_exits(capsys):
