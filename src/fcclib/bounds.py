@@ -499,14 +499,14 @@ class _Skipped(_NotApplicable):  # cannot beat a row already found
 def bound_report(
     f: FunctionSpec,
     t: int,
-    r_max: int = 8,
     node_budget: int | None = DEFAULT_NODE_BUDGET,
     deadline: float | None = None,
 ) -> BoundReport:
     """Assemble every applicable bound for (f, t), recording per-entry
-    assumptions; inapplicable entries carry a reason instead of a value, and
-    entries blocked by a solver budget or a size limit carry a note prefixed
-    "budget: " (``BoundEntry.limit`` tells the two apart).
+    assumptions; inapplicable entries carry a reason instead of a value.
+    ``BoundEntry.limit`` tells the missing values apart; only a search out
+    of budget and the parity search's order-limit refusal ("size") carry a
+    note prefixed "budget: ".
 
     Rows run cheapest first, in the order listed.  The independence row
     can beat the best lower row B before it only while alpha < q^(k-B): a
@@ -540,8 +540,8 @@ def bound_report(
             raise _NotApplicable("binary alphabets only")
         try:
             val = _pairwise_plotkin(f, t)
-        except ValueError as exc:
-            raise _NotApplicable(str(exc)) from exc
+        except ValueError as exc:  # a table f past build_drm's cap
+            raise _TooLarge(str(exc)) from exc
         return val, _ceil_frac(val), "average over all requirement pairs"
 
     def systematic():
@@ -554,9 +554,9 @@ def bound_report(
     def eigenvalue():
         if f.mode != "linear":
             raise _NotApplicable("linear functions only")
-        res = eigenvalue_redundancy_bound(f, t, r_max)
-        note = "scan exhausted; true bound may be larger" if res.exhausted else ""
-        return whole(res.value, note)
+        # Repeating f(u) 2t+1 times is an FCC at r = (2t+1)l, so the ratio
+        # condition holds there: the scan stops by then.
+        return whole(eigenvalue_redundancy_bound(f, t, (2 * t + 1) * f.l).value)
 
     def independence():
         nonlocal fdm
@@ -590,10 +590,7 @@ def bound_report(
         )
 
     def code_search():
-        try:
-            val = _found(_fdm_search(f, t, None, deadline, fdm))
-        except ValueError as exc:
-            raise _NotApplicable(str(exc)) from exc
+        val = _found(_fdm_search(f, t, None, deadline, fdm))
         return whole(val, "exact parity-code search on the function-distance matrix")
 
     providers = (

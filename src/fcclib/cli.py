@@ -171,9 +171,7 @@ def cmd_bounds(args, argv) -> int:
     f = _load_function(args)
     t = _required_t(args)
     node_budget, deadline = _budgets(args)
-    report = bound_report(
-        f, t, r_max=args.r_max, node_budget=node_budget, deadline=deadline
-    )
+    report = bound_report(f, t, node_budget=node_budget, deadline=deadline)
     payload = {"descriptor": report.descriptor, "optimal": report.optimal}
     payload["entries"] = [
         {
@@ -409,9 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     formats(p, "json")
     budgets(p)
     p.add_argument("--t", type=int)
-    p.add_argument(
-        "--r-max", type=int, default=8, help="eigenvalue-bound scan cap (default 8)"
-    )
 
     p = add("alpha", cmd_alpha, "exact independence number of the conflict graph")
     budgets(p)

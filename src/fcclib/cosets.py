@@ -22,13 +22,14 @@ from .distance import (
     verify_d_code,
 )
 from .errors import CodeNotFoundError
-from .fields import ENUMERATION_LIMIT, VectorIndex
+from .fields import matrix_rank
 from .functions import (
     FunctionSpec,
     _check_t,
     _require_linear,
     classify,
     coset_decomposition,
+    linear_function,
     min_weight_representatives,
 )
 from .graph import FccEncoder
@@ -152,11 +153,16 @@ def reduced_problem(f: FunctionSpec, t: int) -> DistanceMatrix:
         )
     q, l = f.q, f.l
     size = q**l
-    if q**f.k <= ENUMERATION_LIMIT:
-        labels = coset_decomposition(f).labels
-    else:
-        label_index = VectorIndex(q, l)
-        labels = tuple(label_index.vector(i) for i in range(size))
+    # Each class's first member is zero off the columns that extend the span
+    # of those after them, so on these l columns alone (q^l messages) the
+    # classes appear in the same order; k=1 is read only when l = 0.
+    keep: list[int] = []
+    for j in reversed(range(f.k)):
+        rows = [[row[i] for i in (j, *keep)] for row in f.matrix]
+        if matrix_rank(q, rows) > len(keep):
+            keep.insert(0, j)
+    basis = linear_function(q, [[row[i] for i in keep] for row in f.matrix], k=1)
+    labels = coset_decomposition(basis).labels
     entries = [
         [0 if i == j else 2 * t for j in range(size)] for i in range(size)
     ]

@@ -161,6 +161,8 @@ def test_upper_bound_closed_forms():
     assert a_q_upper(3, 5, 3, "plotkin").value == 3**5
     with pytest.raises(ValueError):
         a_q_upper(2, 12, 7, "elias")
+    with pytest.raises(ValueError, match="need n >= 0 and d >= 1"):
+        a_q_upper(2, 3, 0, "hamming")
 
 
 def test_upper_bounds_dominate_exact_values():
@@ -200,6 +202,18 @@ def test_auto_estimate_policy():
         a_q_upper(2, 12, 7, "hamming").value,
         a_q_upper(2, 12, 7, "singleton").value,
     )
+
+
+def test_auto_estimate_falls_back_when_the_attempt_runs_out(monkeypatch):
+    # 2^7 words are within the exact attempt's size, but one node is not
+    # enough to finish it: the closed forms answer instead
+    monkeypatch.setattr(bounds, "AQ_AUTO_ATTEMPT_BUDGET", 1)
+    a_q_auto.cache_clear()
+    try:
+        est = a_q_auto(2, 7, 3)
+    finally:
+        a_q_auto.cache_clear()
+    assert (est.value, est.kind) == (16, "hamming_upper")
 
 
 def test_systematic_bound_examples():
@@ -605,6 +619,12 @@ def test_pairwise_averaging_equals_the_drm_average(monkeypatch):
         with pytest.raises(ValueError) as got:
             _pairwise_plotkin(f, t)
         assert str(got.value) == str(want.value)
+    # the report's row is a size refusal with that text, as the
+    # independence row's refusal in the same report is
+    by_name = {e.name: e for e in bound_report(wide, 1).entries}
+    assert by_name["pairwise_averaging"].note == str(want.value)
+    assert by_name["pairwise_averaging"].limit == "size"
+    assert by_name["independence"].limit == "size"
 
 
 def test_report_builds_no_drm_and_no_connection_row(monkeypatch):
@@ -859,6 +879,38 @@ def test_sandwich_invariant_on_random_instances():
         for e in report.entries:
             if e.sense == "lower" and e.integer is not None:
                 assert e.integer <= upper.integer
+
+
+def test_report_keeps_its_entries_when_the_certificate_runs_out(monkeypatch, ex_q2_k4):
+    want = bound_report(ex_q2_k4, 1)
+
+    def out_of_budget(*args, **kwargs):
+        raise BudgetExceededError("representative search exceeded 1 nodes")
+
+    monkeypatch.setattr(bounds, "optimality_check", out_of_budget)
+    got = bound_report(ex_q2_k4, 1)
+    assert (want.optimal, got.optimal) == (True, None)
+    assert got.entries == want.entries
+
+
+def test_eigenvalue_row_scans_to_the_repetition_code():
+    # the identity on F_2^8: the row reads the exact scan, with no cap
+    f = linear_function(2, [[int(i == j) for j in range(8)] for i in range(8)])
+    for t, want in ((7, 10), (8, 12)):
+        by_name = {e.name: e for e in bound_report(f, t, node_budget=2_000).entries}
+        entry = by_name["eigenvalue"]
+        assert (entry.integer, entry.note, entry.limit) == (want, "", ""), t
+    # repeating f(u) 2t+1 times is an FCC at r = (2t+1)l, so the scan the
+    # row runs never ends exhausted
+    rng = random.Random(24)
+    for _ in range(40):
+        q = rng.choice([2, 3, 5])
+        k = rng.randrange(1, {2: 8, 3: 5, 5: 4}[q] + 1)
+        f = rand_linear(rng, q, k, rng.randrange(0, k + 1))
+        t = rng.randrange(1, 4)
+        res = fcclib.spectrum.eigenvalue_redundancy_bound(f, t, (2 * t + 1) * f.l)
+        assert not res.exhausted, (f, t)
+        assert res.value <= (2 * t + 1) * f.l
 
 
 def test_report_rejects_bad_t(ex_q2_k4):

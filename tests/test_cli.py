@@ -241,6 +241,9 @@ def test_nq_rejects_empty_matrix_and_composite_q(capsys):
     assert code == EX_INPUT and out == "" and "empty" in err
     code, out, err = run(capsys, "nq", "--matrix", "0,0;0,0", "--q", "6")
     assert code == EX_INPUT and out == "" and "prime" in err
+    # a function source, unlike nq's requirement rows, needs a row
+    code, out, err = run(capsys, "drm", "--matrix", ";", "--t", "1")
+    assert code == EX_INPUT and out == "" and "--matrix needs at least one row" in err
 
 
 def test_nq_from_function(capsys, data_dir, ex_q2_k4):
@@ -253,6 +256,11 @@ def test_nq_from_function(capsys, data_dir, ex_q2_k4):
     )
     assert code == EX_OK
     assert payload["n"] == n_q_exact(build_drm(ex_q2_k4, 1), 2).n
+    code, out, err = run(
+        capsys, "nq", "--func", str(data_dir / "ex_q2_k4.func"), "--matrix", "0,3;3,0",
+        "--t", "1",
+    )
+    assert code == EX_INPUT and out == "" and "provide exactly one source" in err
 
 
 def test_spectrum_routes(capsys, monkeypatch, data_dir):
@@ -276,6 +284,11 @@ def test_spectrum_routes(capsys, monkeypatch, data_dir):
         "--r", "1",
     )
     assert code == EX_INPUT  # table functions have no transform spectrum
+
+    code, out, err = run(
+        capsys, "spectrum", "--func", str(data_dir / "spectral_q2_k3.func"), "--t", "1"
+    )
+    assert code == EX_INPUT and out == "" and "--r is required" in err
 
     code, out, _ = run(
         capsys, "spectrum", "--func", str(data_dir / "ex_q3_k3.func"), "--t", "1",
@@ -436,6 +449,13 @@ def test_construct_graph_route(capsys, tmp_path, data_dir):
     assert code == EX_OK and payload["r"] == 3
     assert "method independent-set search at r=3" in enc_path.read_text()
 
+    # the parity search proves no code of length 2 or less
+    code, payload, _ = run_json(
+        capsys, "construct", "--func", func, "--t", "1", "--r-max", "2"
+    )
+    assert code == EX_NEGATIVE and payload["found"] is False
+    assert "at any length up to 2" in payload["reason"]
+
     # no code exists at r=1 for this function
     code, payload, _ = run_json(
         capsys, "construct", "--func", func, "--t", "1", "--r", "1"
@@ -562,7 +582,7 @@ FUNCTION_SOURCE = {"--func", "--matrix", "--q"}
 COMMAND_OPTIONS = {
     "drm": {"--format", "--t"} | FUNCTION_SOURCE,
     "fdm": {"--format", "--t"} | FUNCTION_SOURCE,
-    "bounds": {"--format", "--budget-nodes", "--budget-seconds", "--t", "--r-max"}
+    "bounds": {"--format", "--budget-nodes", "--budget-seconds", "--t"}
     | FUNCTION_SOURCE,
     "alpha": {"--budget-nodes", "--budget-seconds", "--t", "--r"} | FUNCTION_SOURCE,
     "nq": {"--budget-seconds", "--t", "--r-max"} | FUNCTION_SOURCE,
@@ -588,7 +608,7 @@ def test_each_command_accepts_only_the_options_it_reads():
         }
         assert options == COMMAND_OPTIONS[name] | {"--out"}, name
         slots += len(options)
-    assert slots == 67
+    assert slots == 66
 
 
 def test_removed_options_are_input_errors(capsys, data_dir):
@@ -597,6 +617,7 @@ def test_removed_options_are_input_errors(capsys, data_dir):
         ["alpha", "--func", func, "--t", "1", "--r", "1", "--format", "csv"],
         ["nq", "--matrix", "0,3;3,0", "--budget-nodes", "5"],
         ["drm", "--func", func, "--t", "1", "--budget-seconds", "1"],
+        ["bounds", "--func", func, "--t", "1", "--r-max", "3"],
     ):
         code, out, err = run(capsys, *argv)
         assert code == EX_INPUT and out == "" and "error:" in err, argv

@@ -1,5 +1,6 @@
 """Coset-wise encoders: representative selection, reduction, decoding."""
 
+import itertools
 import random
 
 import pytest
@@ -156,6 +157,27 @@ def test_reduced_problem_matches_fdm_whenever_it_applies():
         assert red.to_lists() == fdm.to_lists()
         assert red.labels == fdm.labels
         checked += 1
+
+
+def test_reduced_problem_labels_come_from_a_basis_of_columns():
+    # zero columns appended: k = 30 is past the enumeration limit, yet the
+    # labels are those of the unpadded f, in first-appearance order
+    rows = [(1, 0, 1), (0, 1, 1)]
+    padded = linear_function(2, [row + (0,) * 27 for row in rows])
+    red = reduced_problem(padded, 1)
+    assert red.labels == ((0, 0), (1, 1), (0, 1), (1, 0))
+    assert red.labels == build_fdm(linear_function(2, rows), 1).labels
+    # and on f whose columns hold every non-zero value, shuffled among up to
+    # 3 random columns, they are coset_decomposition's labels
+    rng = random.Random(24)
+    for _ in range(40):
+        q, l = rng.choice([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)])
+        columns = [c for c in itertools.product(range(q), repeat=l) if any(c)]
+        for _ in range(rng.randrange(4)):
+            columns.append(tuple(rng.randrange(q) for _ in range(l)))
+        rng.shuffle(columns)
+        f = linear_function(q, list(zip(*columns)))
+        assert reduced_problem(f, 1).labels == coset_decomposition(f).labels, f
 
 
 def test_shipped_binary_parity_builds_valid_encoder(ex_q2_k4, shipped_dir):

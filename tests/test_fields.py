@@ -68,6 +68,8 @@ def test_vector_index_validates_input():
         idx.vector(8)
     with pytest.raises(ValueError):
         VectorIndex(4, 2)
+    with pytest.raises(ValueError, match="vector length must be non-negative, got -1"):
+        VectorIndex(2, -1)
 
 
 def test_hamming_metrics_match_oracles():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -98,6 +99,17 @@ def test_spec_validation():
         FunctionSpec(q=2, k=2, mode="table", table=(0, 1, 1))  # wrong length
     with pytest.raises(ValueError):
         FunctionSpec(q=2, k=2, mode="affine", matrix=((1, 0),))
+    for mode, matrix, table, message in (
+        ("linear", None, None, "linear mode requires a matrix and no table"),
+        ("linear", ((1, 0),), (0, 1, 1, 0), "linear mode requires a matrix and no table"),
+        ("linear", ((1, 0, 1),), None, "matrix row length 3 does not match k=2"),
+        ("table", None, None, "table mode requires a table and no matrix"),
+        ("table", ((1, 0),), (0, 1, 1, 0), "table mode requires a table and no matrix"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FunctionSpec(q=2, k=2, mode=mode, matrix=matrix, table=table)
+    with pytest.raises(ValueError, match="defined for linear mode only"):
+        table_function(2, 2, [0, 1, 1, 0]).l
     with pytest.raises(ValueError):
         linear_function(2, [])  # constant needs an explicit k
     assert linear_function(2, [], k=3).l == 0

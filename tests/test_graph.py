@@ -129,6 +129,8 @@ def test_graph_validation(monkeypatch, ex_q2_k3):
 def test_block_circulant_holds_for_linear_functions(ex_q2_k3, ex_q3_k2):
     assert verify_block_circulant(build_graph(ex_q2_k3, 1, 1), ex_q2_k3)
     assert verify_block_circulant(build_graph(ex_q3_k2, 1, 0), ex_q3_k2)
+    with pytest.raises(ValueError, match="disagree on the field size"):
+        verify_block_circulant(build_graph(ex_q2_k3, 1, 1), ex_q3_k2)
     rng = random.Random(101)
     for _ in range(15):
         q = rng.choice([2, 3])
