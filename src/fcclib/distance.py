@@ -233,38 +233,50 @@ def _refuse_order(order: int) -> None:
 def _search_at_length(
     D: DistanceMatrix, q: int, r: int, deadline: float | None = None
 ) -> ParityCode | None:
-    """First code of length r meeting D, depth first with the first word
-    pinned to zero (translation symmetry).  The words admissible at level L
-    are one bitmask of ranks: F_q^r less the ball c_j + {z : wt(z) < D[L][j]}
-    around each chosen word c_j, tried lowest rank first."""
-    m, size = D.order, q**r
+    """First code of length r meeting D, depth first over the rows in order,
+    each word the lowest rank left in its row's domain: a bitmask of the words
+    at distance >= D[L][j] from every chosen c_j (row 0 holds only the zero
+    word, by translation symmetry).  A word narrows the domains of the later
+    rows its row constrains and is dropped when one empties (forward checking),
+    which cuts only subtrees holding no code: the witness is the plain search's."""
+    m, size, full = D.order, q**r, (1 << q**r) - 1
     balls = {e: differences(q, r, 0, e - 1) for e in set(b"".join(D.rows)) if e}
-    # The ball of radius e - 1 around word c, as a mask; at most 16 MiB held.
-    near = lru_cache(maxsize=(1 << 27) // size + 1)(
-        lambda c, e: _bitmask(translate(q, c, balls[e]), size)
-    )
-    chosen = [0]
+    # Words at distance >= e from word c, one cache per e; at most 16 MiB held.
+    cap = (1 << 27) // (size * len(balls) or 1) + 1
+    far = {
+        e: lru_cache(cap)(lambda c, b=b: full ^ _bitmask(translate(q, c, b), size))
+        for e, b in balls.items()
+    }
+    later = [
+        [(j, far[e]) for j, e in enumerate(row[i + 1 :], i + 1) if e]
+        for i, row in enumerate(D.rows)
+    ]
+    chosen = []
 
-    def extend(level: int) -> bool:
+    def extend(level: int, domains: list[int]) -> bool:
         if level == m:
             return True
-        # Every call reads the clock: one call may build m balls of q^r words.
+        # Every call reads the clock: one call may build m masks of q^r bits.
         if deadline is not None and monotonic() > deadline:
             raise BudgetExceededError("parity-code search exceeded the time budget")
-        allowed = (1 << size) - 1
-        for c, e in zip(chosen, D[level]):
-            if e:
-                allowed &= ~near(c, e)
+        allowed, rows = domains[level], later[level]
         while allowed:
             low = allowed & -allowed
-            chosen.append(low.bit_length() - 1)
-            if extend(level + 1):
-                return True
-            chosen.pop()
+            c = low.bit_length() - 1
+            narrowed = domains.copy()
+            for j, fe in rows:
+                narrowed[j] &= fe(c)
+                if not narrowed[j]:
+                    break
+            else:
+                chosen.append(c)
+                if extend(level + 1, narrowed):
+                    return True
+                chosen.pop()
             allowed ^= low
         return False
 
-    if extend(1):
+    if extend(0, [1] + [full] * (m - 1)):
         return ParityCode(q=q, r=r, words=tuple(map(VectorIndex(q, r).vector, chosen)))
     return None
 
@@ -278,11 +290,12 @@ def n_q_exact(
     """Smallest word length admitting a code that meets D, with a witness.
 
     Scans lengths upward from the largest entry of D (no shorter length can
-    satisfy it), so the first success is minimal; each row's admissible words
-    are a bitmask of ranks, tried lowest first.  Exhausting r_cap yields a
-    ``found=False`` result; a non-prime q or an empty D raises ValueError, an
-    order above DEFAULT_MAX_ORDER SizeLimitError, and running past
-    ``deadline`` BudgetExceededError.
+    satisfy it), so the first success is minimal.  Each later row keeps one
+    domain bitmask of ranks, and the search backtracks as soon as one empties;
+    the witness is the one a plain row-by-row search finds first.  Exhausting
+    r_cap yields a ``found=False`` result; a non-prime q or an empty D raises
+    ValueError, an order above DEFAULT_MAX_ORDER SizeLimitError, and running
+    past ``deadline`` BudgetExceededError.
     """
     _check_prime(q)
     if D.order == 0:

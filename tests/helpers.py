@@ -509,7 +509,12 @@ def rand_graph(rng, n, p):
 
 
 def rand_linear(rng, q, k, l):
-    """Random linear function with a full-rank l x k matrix (l = 0 allowed)."""
+    """Random linear function with a full-rank l x k matrix (l = 0 allowed).
+
+    l > k has no full-rank matrix, so it raises ValueError before any draw
+    instead of retrying forever."""
+    if l > k:
+        raise ValueError(f"no full-rank {l} x {k} matrix: l = {l} exceeds k = {k}")
     while True:
         rows = [tuple(rng.randrange(q) for _ in range(k)) for _ in range(l)]
         try:

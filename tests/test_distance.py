@@ -15,13 +15,15 @@ from fcclib import (
     build_drm,
     build_fdm,
     function_distance,
+    hamming_distance,
     linear_function,
     matrix_from_lists,
     n_q_exact,
     table_function,
     verify_d_code,
 )
-from fcclib.distance import DEFAULT_MAX_ORDER, PAIRWISE_MATRIX_LIMIT
+from fcclib import distance
+from fcclib.distance import DEFAULT_MAX_ORDER, PAIRWISE_MATRIX_LIMIT, _search_at_length
 from fcclib.formats import read_matrix_csv
 from helpers import (
     all_words,
@@ -346,6 +348,55 @@ def test_n_q_exact_matches_tuple_form_scan_on_benchmark_matrices():
         res = n_q_exact(D, 2)
         ref = _reference_scan(D.to_lists(), 2, res.r_cap, start=D.max_entry())
         assert res.found and (res.n, res.witness.words) == ref
+
+
+def test_n_q_exact_closes_the_t3_drm_cells():
+    # Without forward checking, r = 8 on these DRMs runs past 20-40 s; the
+    # deadline turns a return to that into a failure instead of a stall.
+    n = {}
+    for name, matrix in [
+        ("ex4", [[1, 1, 1, 0], [0, 1, 1, 0]]),
+        ("ex4swap", [[1, 1, 1, 0], [1, 0, 1, 0]]),  # ex4 relabelled
+        ("split4", [[1, 0, 0, 0], [0, 1, 1, 1]]),
+    ]:
+        D = build_drm(linear_function(2, matrix), 3)
+        res = n_q_exact(D, 2, deadline=monotonic() + 30)
+        assert res.found and res.witness.r == res.n
+        words = res.witness.words
+        for i, j in itertools.combinations(range(D.order), 2):
+            assert hamming_distance(words[i], words[j]) >= D[i][j]
+        n[name] = res.n
+    assert n["ex4"] == n["ex4swap"] == n["split4"] == 9
+
+
+def test_n_q_exact_matches_tuple_form_scan_at_orders_7_to_12():
+    # Forward checking cuts subtrees in every one of these draws (about a
+    # ninth of the plain search's nodes remain); entries of at most 2 keep
+    # the reference's proofs of infeasibility, at r = 3 over 8 words, short.
+    rng = random.Random(1)
+    for _ in range(40):
+        m, r_cap = rng.randint(7, 12), rng.choice((3, 4, 5))
+        D = _rand_matrix(rng, m, max_entry=2)
+        res = n_q_exact(D, 2, r_cap=r_cap)
+        ref = _reference_scan(D.to_lists(), 2, r_cap, start=D.max_entry())
+        assert res.found == (ref is not None)
+        if ref is not None:
+            assert (res.n, res.witness.words) == ref
+
+
+def test_search_stops_at_the_root_when_word_zero_empties_a_domain(monkeypatch):
+    # row 5 needs distance 4 from word 0, which no word of length 3 has; a
+    # plain row-by-row search would walk rows 1..4 (8^4 nodes) to find out
+    entries = [[0] * 6 for _ in range(6)]
+    entries[0][5] = entries[5][0] = 4
+    D = matrix_from_lists(entries)
+    reads = []
+    monkeypatch.setattr(distance, "monotonic", lambda: reads.append(0) or 0.0)
+    assert _search_at_length(D, 2, 3, deadline=1.0) is None
+    assert len(reads) == 1
+    assert slow_search_at_length(entries, 2, 3) is None
+    res = n_q_exact(D, 2)
+    assert (res.n, res.witness.words) == _reference_scan(entries, 2, 4)
 
 
 def test_n_q_exact_monotone_under_entry_increase():

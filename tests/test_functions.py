@@ -132,6 +132,17 @@ def test_linear_function_rejects_unreduced_entries():
     assert linear_function(3, [("2", 1)]).matrix == ((2, 1),)
 
 
+def test_rand_linear_refuses_more_rows_than_columns():
+    # every l x k draw with l > k fails the rank check, so a retry loop
+    # would never end; the refusal comes before the first draw
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="l = 2 exceeds k = 1"):
+        rand_linear(rng, 2, 1, 2)
+    assert rng.getstate() == state
+    assert rand_linear(rng, 2, 2, 2).l == 2
+
+
 def test_image_size(ex_q2_k4, or_q2_k2, const_q2_k3):
     assert image_size(ex_q2_k4) == 4
     assert image_size(or_q2_k2) == 2
