@@ -22,7 +22,7 @@ from .distance import (
     verify_d_code,
 )
 from .errors import CodeNotFoundError
-from .fields import matrix_rank
+from .fields import _pivot_columns
 from .functions import (
     FunctionSpec,
     _check_t,
@@ -154,13 +154,11 @@ def reduced_problem(f: FunctionSpec, t: int) -> DistanceMatrix:
     q, l = f.q, f.l
     size = q**l
     # Each class's first member is zero off the columns that extend the span
-    # of those after them, so on these l columns alone (q^l messages) the
-    # classes appear in the same order; k=1 is read only when l = 0.
-    keep: list[int] = []
-    for j in reversed(range(f.k)):
-        rows = [[row[i] for i in (j, *keep)] for row in f.matrix]
-        if matrix_rank(q, rows) > len(keep):
-            keep.insert(0, j)
+    # of those after them (the pivots of the column-reversed matrix), so on
+    # these l columns alone (q^l messages) the classes appear in the same
+    # order; k=1 is read only when l = 0.
+    reversed_rows = [row[::-1] for row in f.matrix]
+    keep = sorted(f.k - 1 - p for p in _pivot_columns(q, reversed_rows))
     basis = linear_function(q, [[row[i] for i in keep] for row in f.matrix], k=1)
     labels = coset_decomposition(basis).labels
     entries = [

@@ -241,12 +241,16 @@ def hamming_ball_size(q: int, n: int, m: int) -> int:
 def matrix_rank(q: int, rows: list[FieldVec] | tuple[FieldVec, ...]) -> int:
     """Rank over F_q of the matrix with the given rows (Gaussian elimination)."""
     _check_prime(q)
+    return len(_pivot_columns(q, rows))
+
+
+def _pivot_columns(q: int, rows: list[FieldVec] | tuple[FieldVec, ...]) -> list[int]:
+    """The pivot columns, ascending, of the matrix with the given rows over
+    F_q: each is the first column outside the span of the columns before it."""
     work = [list(r) for r in rows]
-    if not work:
-        return 0
-    cols = len(work[0])
-    rank = 0
-    for c in range(cols):
+    pivots: list[int] = []
+    for c in range(len(work[0]) if work else 0):
+        rank = len(pivots)
         pivot = next((r for r in range(rank, len(work)) if work[r][c] % q != 0), None)
         if pivot is None:
             continue
@@ -257,7 +261,7 @@ def matrix_rank(q: int, rows: list[FieldVec] | tuple[FieldVec, ...]) -> int:
             if r != rank and work[r][c] % q != 0:
                 factor = work[r][c]
                 work[r] = [(a - factor * b) % q for a, b in zip(work[r], work[rank])]
-        rank += 1
-        if rank == len(work):
+        pivots.append(c)
+        if len(pivots) == len(work):
             break
-    return rank
+    return pivots

@@ -3,33 +3,32 @@
 For linear functions the conflict graph is a Cayley graph on F_q^(k+r): its
 adjacency matrix is invariant under jointly translating row and column
 indices, so the characters of (Z_q)^(k+r) diagonalize it.  The connection set
-splits over the message and parity parts: the 2t message shells S_w (weight
-w, outside f's zero class) ride as bit lanes of one length-q^k transform, and
-the eigenvalue at the character (a, b) combines S_w(a) with q-ary Krawtchouk
-sums over the parity weight wt(b).  No length-q^(k+r) row is built.  The
-transform runs in the group ring Z[x]/(x^q - 1), so every step is exact
-integer arithmetic; lane w only ever counts members of S_w, so it is sized
-by |S_w|.  The q^k entries are packed into one int, and each digit pass is a
-few whole-row shifts, masks and sums, multiplication by x^m a rotation of
-each entry's q coefficients.  The connection set is closed under scaling by
-F_q^*, which makes every eigenvalue an integer, and each distinct transform
-entry is checked to be so.
+splits over the message and parity parts: the eigenvalue at the character
+(a, b) combines the message shell sums S_w(a), S_w = {z : wt(z) = w,
+f(z) != f(0)}, with q-ary Krawtchouk sums over the parity weight wt(b).  No
+length-q^(k+r) row is built.
+
+The shell sums come in closed form.  Over all words of weight w the
+character at a sums to K_w(wt(a); k); the kernel's share is, by Poisson
+summation over the kernel, whose dual is the row space R of f, q^(-l) times
+the sum of K_w(wt(v); k) over the coset a + R.  So S_w(a) depends only on wt(a) and the
+sorted weights of a + R, and one tuple is computed per distinct pair.  The
+connection set is closed under scaling by F_q^*, which makes every
+eigenvalue an integer: each division by q^l is checked to be exact.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from math import comb
-from operator import mul, or_
+from operator import mul
 
-from .fields import ENUMERATION_LIMIT, _count_over, differences, weights
-from .functions import FunctionSpec, _check_t, _require_linear, coset_decomposition
-
-_WORD = (1 << 64) - 1
+from .fields import (
+    ENUMERATION_LIMIT, _count_over, _pivot_columns, translate_ranks, weights
+)
+from .functions import FunctionSpec, _check_t, _require_linear
 
 
 @dataclass(frozen=True)
@@ -50,100 +49,6 @@ class Spectrum:
     @property
     def lambda_min(self):
         return min(self.eigenvalues)
-
-
-def _transform(values: list[int], q: int, width: int) -> list[int]:
-    """The transform over (Z_q)^n of a length-q^n list, in Z[x]/(x^q - 1) with
-    x carried as 2^width: entry j is sum_c B_c x^c, B_c the sum of the values
-    at the i with i.j = c; exact while each B_c < 2^width.  Every input entry
-    must fit in q*width bits.
-
-    The entries ride in one int, entry i at bit i * stride, stride a whole
-    number of 64-bit words.  Each digit pass is a few whole-row shifts, masks
-    and sums (``_digit_pass``), and x^m rotates the q lanes of every entry."""
-    size = len(values)
-    n_digits = 0
-    while q**n_digits < size:
-        n_digits += 1
-    if q**n_digits != size:
-        raise ValueError(f"row length {size} is not a power of {q}")
-    top = q * width
-    if min(values) < 0 or max(values) >> top:
-        raise ValueError(f"transform entry does not fit in q*width = {top} bits")
-    words = -(-top // 64)
-    row = _pack(values, words)
-    # wrap[m - 1] holds the top m lanes of every entry.
-    wrap = []
-    for m in range(1, q):
-        lanes = ((1 << top) - (1 << (q - m) * width)).to_bytes(8 * words, "little")
-        wrap.append(int.from_bytes(lanes * size, "little"))
-    # The digits run from the top down.  Entries one apart in the digit of
-    # the pass sit step bits apart, and those whose digit is 0 come in runs
-    # of step bits, q * step apart: zero masks them.
-    step = 64 * words * size // q
-    zero = (1 << step) - 1
-    for i in range(n_digits):
-        if i:
-            # The digit below: one shift and one XOR give the first two runs
-            # of each q * step bits, shifted copies of those the other q - 2.
-            step //= q
-            zero ^= zero << step
-            runs = 2
-            while runs < q:
-                more = min(runs, q - runs)
-                zero |= zero << more * q * step
-                runs += more
-        row = _digit_pass(row, q, step, zero, width, wrap)
-    return _unpack(row, size, words)
-
-
-def _pack(values: list[int], words: int) -> int:
-    """The entries as one int, entry i at bit 64 * words * i: one
-    little-endian 64-bit word after another, the low word of an entry first."""
-    if words > 1:
-        parts = [[v >> 64 * w & _WORD for v in values] for w in range(words)]
-        values = list(chain.from_iterable(zip(*parts)))
-    return int.from_bytes(struct.pack(f"<{len(values)}Q", *values), "little")
-
-
-def _unpack(row: int, size: int, words: int) -> list[int]:
-    """The ``size`` entries that ``_pack`` put into ``row``."""
-    out = struct.unpack(f"<{words * size}Q", row.to_bytes(8 * words * size, "little"))
-    entries = list(out[words - 1 :: words])
-    for w in range(words - 2, -1, -1):
-        entries = [e << 64 | v for e, v in zip(entries, out[w::words])]
-    return entries
-
-
-def _digit_pass(
-    row: int, q: int, step: int, zero: int, width: int, wrap: list[int]
-) -> int:
-    """One digit of ``_transform`` on a packed row whose entries step bits
-    apart differ by one in that digit, ``zero`` masking those where it is 0:
-    output digit j sums x^(j*s) times input digit s."""
-    digit = [row & zero] + [row >> s * step & zero for s in range(1, q)]
-    # x^0 gathers every digit at j = 0 and digit 0 at every j.
-    out = digit[0]
-    for s in range(1, q):
-        out += digit[s] + (digit[0] << s * step)
-    for m in range(1, q):
-        # Digit s = m / j lands at j as x^m; all of them rotate at once, the
-        # lanes below q - m moving up m places and the top m wrapping to the
-        # bottom, so no lane spills into the next entry.
-        moved = [digit[m * pow(j, -1, q) % q] << j * step for j in range(1, q)]
-        v = reduce(or_, moved)
-        top = v & wrap[m - 1]
-        out += (v - top) << m * width | top >> (q - m) * width
-    return out
-
-
-def _coefficients(v: int, q: int, width: int) -> tuple[int, int]:
-    """(B_0, B_1) of a reduced transform entry, certified by B_1 = ... = B_(q-1)."""
-    mask = (1 << width) - 1
-    coeffs = {v >> c * width & mask for c in range(1, q)}
-    if len(coeffs) != 1:
-        raise ValueError("transform entry is not an integer eigenvalue")
-    return v & mask, coeffs.pop()
 
 
 def cvetkovic_alpha_bound(S: Spectrum):
@@ -178,39 +83,53 @@ def _krawtchouk(q: int, n: int, j: int, x: int) -> int:
     )
 
 
-def _shell_transform(f: FunctionSpec, t: int) -> tuple[list[int], dict[int, tuple]]:
-    """The length-q^k transform of the message shells, and the tuple
-    (S_1(a), ..., S_W(a)) of each distinct entry, W = min(2t, k), S_w(a) the
-    transform of the shell {z : wt(z) = w, f(z) != f(0)} at the character a.
-    The shells ride as bit lanes of one row, 1 in lane w at each z of S_w.  A
-    lane counts members of its shell, so lane w takes |S_w|.bit_length() bits
-    and never carries into the next: one transform gives every shell, and only
-    its distinct entries are certified and split."""
+def _shell_sums(
+    f: FunctionSpec, t: int
+) -> tuple[list[int], list[bytes], dict[tuple[int, bytes], tuple]]:
+    """The shell sums of linear f by Poisson summation: (ranks, census,
+    sums).  ``ranks`` lists F_q^k one coset of the row space R after
+    another, q^l ranks each, and census[i] holds coset i's sorted weights;
+    ``sums`` maps each (wt(a), census of a + R) that occurs to the tuple
+    (S_1(a), ..., S_W(a)), W = min(2t, k)."""
     _check_t(t)
-    q, k = f.q, f.k
-    cls = coset_decomposition(f).class_of
-    zero = cls[0]
-    shells: list[list[int]] = [[] for _ in range(min(2 * t, k))]
-    for z, support, _ in differences(q, k, 1, len(shells)):
-        if cls[z] != zero:
-            shells[len(support) - 1].append(z)
-    lanes = [len(members).bit_length() for members in shells]
-    offsets = [0, *accumulate(lanes)]
-    masks = [(1 << n) - 1 for n in lanes]
-    row = [0] * q**k
-    for members, offset in zip(shells, offsets):
-        for z in members:
-            row[z] = 1 << offset
-    # A constant f has only empty shells; one bit keeps the width positive.
-    width = offsets[-1] or 1
-    entries = _transform(row, q, width)
-    split = {}
-    for v in set(entries):
-        b0, b1 = _coefficients(v, q, width)
-        split[v] = tuple(
-            (b0 >> s & m) - (b1 >> s & m) for s, m in zip(offsets, masks)
+    q, k, rows = f.q, f.k, f.matrix
+    if _count_over(q, k, ENUMERATION_LIMIT):
+        raise ValueError(
+            f"q^k for q={q}, k={k} exceeds the enumeration limit {ENUMERATION_LIMIT}"
         )
-    return entries, split
+    # One word of each coset is zero on the pivot columns.  The rows of f
+    # list R, one copy of the list per multiple, as coset_decomposition
+    # grows its values; the unit vectors off the pivots then move the whole
+    # list to each other coset, so ranks[i * size:(i + 1) * size] is one.
+    pivots = _pivot_columns(q, rows)
+    units = [[int(j == c) for j in range(k)] for c in range(k) if c not in pivots]
+    places = [q ** (k - 1 - j) for j in range(k)]
+    ranks = [0]
+    for v in list(rows) + units:
+        support = tuple(p for p, s in zip(places, v) if s)
+        symbols = tuple(s for s in v if s)
+        diff = (sum(map(mul, support, symbols)), support, symbols)
+        copies = [ranks]
+        for _ in range(1, q):
+            copies.append(translate_ranks(q, copies[-1], diff))
+        ranks = list(chain.from_iterable(copies))
+    size = q ** len(rows)
+    row = bytes(map(weights(q, k).__getitem__, ranks))
+    census = [bytes(sorted(row[i : i + size])) for i in range(0, len(row), size)]
+    top = min(2 * t, k)
+    kraw = [[_krawtchouk(q, k, w, x) for x in range(k + 1)] for w in range(top + 1)]
+    sums = {}
+    for c in set(census):
+        counts = [c.count(x) for x in range(k + 1)]
+        kernel = []
+        for w in range(1, top + 1):
+            share, rest = divmod(sum(map(mul, counts, kraw[w])), size)
+            if rest:
+                raise ValueError("shell sum is not an integer eigenvalue")
+            kernel.append(share)
+        for x in set(c):
+            sums[x, c] = tuple(kraw[w][x] - s for w, s in enumerate(kernel, 1))
+    return ranks, census, sums
 
 
 def _eigenvalues(q: int, t: int, r: int, shells: list[tuple]) -> list[list[int]]:
@@ -238,13 +157,18 @@ def spectrum_of(f: FunctionSpec, t: int, r: int) -> Spectrum:
     over = _count_over(f.q, f.k + r, ENUMERATION_LIMIT)
     if over:
         raise ValueError(f"row would have {over} entries; limit is {ENUMERATION_LIMIT}")
-    entries, shells = _shell_transform(f, t)
-    table = _eigenvalues(f.q, t, r, list(shells.values()))
-    wt = weights(f.q, r)
-    # Each distinct entry expands once into its q^r eigenvalues, b in rank order.
-    expand = {v: [table[x][i] for x in wt] for i, v in enumerate(shells)}
-    eigen = chain.from_iterable(map(expand.__getitem__, entries))
-    return Spectrum(q=f.q, eigenvalues=tuple(eigen))
+    q, k = f.q, f.k
+    ranks, census, sums = _shell_sums(f, t)
+    table = _eigenvalues(q, t, r, list(sums.values()))
+    wt = weights(q, r)
+    # Each (wt(a), census) expands once into its q^r eigenvalues, b in rank
+    # order; each census covers the q^l ranks of its coset.
+    expand = {key: [table[x][i] for x in wt] for i, key in enumerate(sums)}
+    cosets = chain.from_iterable(map(repeat, census, repeat(q**f.l)))
+    coset = dict(zip(ranks, cosets))
+    keys = zip(weights(q, k), map(coset.__getitem__, range(q**k)))
+    eigen = chain.from_iterable(map(expand.__getitem__, keys))
+    return Spectrum(q=q, eigenvalues=tuple(eigen))
 
 
 def eigenvalue_redundancy_bound(
@@ -253,14 +177,14 @@ def eigenvalue_redundancy_bound(
     """Lower bound on achievable redundancy: the smallest r <= r_max with
     q^r >= 1 - lambda_max(r)/lambda_min(r); every smaller r is infeasible.
 
-    No graph row is built, so no r is too large to scan: one length-q^k
-    transform gives the distinct shell tuples, and each r takes extremes over
-    their eigenvalues (``_eigenvalues``) at wt(b) = 0..r."""
+    No graph row is built, so no r is too large to scan: ``_shell_sums``
+    gives the distinct shell tuples, and each r takes extremes over their
+    eigenvalues (``_eigenvalues``) at wt(b) = 0..r."""
     _require_linear(f, "eigenvalue redundancy bound")
     if r_max < 0:
         raise ValueError("r_max must be >= 0")
     q = f.q
-    shells = list(_shell_transform(f, t)[1].values())
+    shells = list(set(_shell_sums(f, t)[2].values()))
     for r in range(r_max + 1):
         table = _eigenvalues(q, t, r, shells)
         lo, hi = min(map(min, table)), max(map(max, table))

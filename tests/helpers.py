@@ -30,7 +30,6 @@ from fcclib import (
 from fcclib.distance import build_fdm
 from fcclib.fields import differences, translate
 from fcclib.functions import _class_leaders
-from fcclib.spectrum import _coefficients
 
 
 def all_words(q, n):
@@ -360,6 +359,15 @@ def slow_transform(values, q, width):
                 acc = [(v & modulus) + (v >> top) for v in acc]
             values[j::q] = acc
     return [v % modulus for v in values]
+
+
+def _coefficients(v, q, width):
+    """(B_0, B_1) of a reduced transform entry, certified by B_1 = ... = B_(q-1)."""
+    mask = (1 << width) - 1
+    coeffs = {v >> c * width & mask for c in range(1, q)}
+    if len(coeffs) != 1:
+        raise ValueError("transform entry is not an integer eigenvalue")
+    return v & mask, coeffs.pop()
 
 
 def row_spectrum(row, q):

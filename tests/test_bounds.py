@@ -634,10 +634,10 @@ def test_report_builds_no_drm_and_no_connection_row(monkeypatch):
         if real is not None:
             wrapped = lambda *a, real=real: calls.append("build_drm") or real(*a)
             monkeypatch.setattr(module, "build_drm", wrapped)
-    # No transform of a length-q^(k+r) row: every call is on the q^k messages.
-    transform = fcclib.spectrum._transform
-    wrapped = lambda v, *a: lengths.append(len(v)) or transform(v, *a)
-    monkeypatch.setattr(fcclib.spectrum, "_transform", wrapped)
+    # No length-q^(k+r) row: the eigenvalue row lists only the q^k messages.
+    translate_ranks = fcclib.spectrum.translate_ranks
+    wrapped = lambda *a: lengths.append(len(out := translate_ranks(*a))) or out
+    monkeypatch.setattr(fcclib.spectrum, "translate_ranks", wrapped)
     proj6 = _bounds_cells()[1][0]
     report = bound_report(proj6, 2, node_budget=2_000)
     assert {e.name for e in report.entries if e.integer is not None} >= {
@@ -648,7 +648,7 @@ def test_report_builds_no_drm_and_no_connection_row(monkeypatch):
     report = bound_report(table, 1)
     assert next(e for e in report.entries if e.name == "pairwise_averaging").integer
     assert calls == []
-    assert lengths and max(lengths) <= proj6.q**proj6.k
+    assert lengths and sum(lengths) <= proj6.q**proj6.k
 
 
 def test_report_on_a_graph_whose_alpha_exceeds_the_recursion_limit(monkeypatch):

@@ -99,15 +99,23 @@ def test_spectrum_equals_whole_row_transform():
 
 
 def test_spectrum_transforms_only_the_message_row(monkeypatch, ex_q2_k3, ex_q3_k2):
-    calls = []
-    real = fcclib.spectrum._transform
+    # The ranks translated total at most q^k, the same at every t: no list
+    # over the q^(k+r) vertices is built.
+    lengths = []
+    real = fcclib.spectrum.translate_ranks
     monkeypatch.setattr(
-        fcclib.spectrum, "_transform", lambda v, *a: calls.append(len(v)) or real(v, *a)
+        fcclib.spectrum,
+        "translate_ranks",
+        lambda *a: lengths.append(len(out := real(*a))) or out,
     )
     for f, r in ((ex_q2_k3, 3), (ex_q3_k2, 2)):
-        calls.clear()
-        spectrum_of(f, 1, r)
-        assert calls == [f.q**f.k]
+        totals = set()
+        for t in (1, 2, 3):
+            lengths.clear()
+            spectrum_of(f, t, r)
+            assert lengths and f.q ** (f.k + r) not in lengths
+            totals.add(sum(lengths))
+        assert len(totals) == 1 and totals.pop() <= f.q**f.k
 
 
 def test_spectrum_memory_is_not_per_row_entry():
@@ -274,3 +282,42 @@ def test_oversized_rows_are_refused_before_allocation(monkeypatch, ex_q2_k3):
     assert eigenvalue_redundancy_bound(ex_q2_k3, 1, 8) == SpectralBoundResult(3, False)
     entry = next(e for e in bound_report(ex_q2_k3, 1).entries if e.name == "eigenvalue")
     assert entry.integer == 3 and entry.note == ""
+
+
+def test_scan_refuses_a_message_space_past_the_limit():
+    # 2^30 messages: refused before any rank list is built.
+    f = linear_function(2, [[1] + [0] * 29])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as err:
+            eigenvalue_redundancy_bound(f, 1, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "q^k for q=2, k=30 exceeds the enumeration limit 16777216"
+    assert peak < 64 * 1024
+
+
+def test_eigenvalue_bound_pins_past_the_oracles():
+    # Cells too large for the whole-row oracle, scanned to (2t+1)l; the
+    # values were computed by the group-ring transform that preceded the
+    # Poisson form.
+    proj8 = linear_function(2, [[int(j == i) for j in range(10)] for i in range(8)])
+    k12 = linear_function(2, [[1, 1, 1, 0] * 3, [0, 1, 1, 0] * 3])
+    q5 = linear_function(5, [[1, 0, 0, 1, 2, 3], [0, 1, 0, 4, 1, 2], [0, 0, 1, 3, 3, 1]])
+    q3 = linear_function(
+        3,
+        [
+            [1, 0, 0, 0, 1, 2, 0, 1, 1],
+            [0, 1, 0, 0, 2, 1, 1, 0, 2],
+            [0, 0, 1, 0, 1, 1, 2, 2, 0],
+            [0, 0, 0, 1, 0, 2, 2, 1, 1],
+        ],
+    )
+    pins = ((proj8, (3, 5, 6)), (k12, (2, 2, 2)), (q5, (3, 3, 3)), (q3, (3, 4, 4)))
+    for f, values in pins:
+        for t, value in enumerate(values, 1):
+            got = eigenvalue_redundancy_bound(f, t, (2 * t + 1) * f.l)
+            assert got == SpectralBoundResult(value, False), (f, t)
+    S = spectrum_of(q5, 2, 1)
+    assert (S.n_vertices, S.lambda_min, S.lambda_max) == (78_125, -237, 11_488)
