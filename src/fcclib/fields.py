@@ -6,12 +6,14 @@ first) are the vector's symbols.  ``VectorIndex`` realises that bijection.
 
 The rank core adds vectors without decoding them: ``translate`` moves one rank
 by a list of sparse differences, ``translate_ranks`` moves a list of ranks by
-one difference, ``increment`` moves a whole set of ranks,
-held as one bitmask, by a unit vector in two masked shifts, and
-``translate_mask`` moves such a set by a sparse difference, one increment at
-a time.  The same one-digit-at-a-time recurrence builds the class map of a
-function (``functions.coset_decomposition``) and the table of every rank's
-Hamming weight (``weights``), so no reader decodes the whole space to tuples.
+one difference, ``increment`` moves a whole set of ranks, held as one
+bitmask, by a unit vector in two masked shifts, and ``translate_mask`` moves
+such a set by a sparse difference, one increment at a time.  Decoding
+(``graph.decode``) needs none of them: it moves its ball on the digits of
+the received word, which it already holds.  The same one-digit-at-a-time
+recurrence builds the class map of a function
+(``functions.coset_decomposition``) and the table of every rank's Hamming
+weight (``weights``), so no reader decodes the whole space to tuples.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
-from operator import mul
+from operator import mul, ne
 
 #: Hard cap on how many entries a rank-indexed table or row may hold.
 ENUMERATION_LIMIT = 2**24
@@ -113,10 +115,10 @@ class VectorIndex:
 
 
 def hamming_distance(x: FieldVec, y: FieldVec) -> int:
-    """Number of coordinates where ``x`` and ``y`` disagree."""
+    """Number of coordinates where ``x`` and ``y`` disagree, counted in C."""
     if len(x) != len(y):
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
-    return sum(1 for a, b in zip(x, y) if a != b)
+    return sum(map(ne, x, y))
 
 
 def differences(q: int, n: int, lo: int, hi: int) -> list[Difference]:
@@ -142,8 +144,9 @@ def negated_difference(q: int, n: int, rank: int) -> Difference:
 def translate(q: int, i: int, diffs) -> list[int]:
     """Ranks of i + z for each difference z in ``diffs``.
 
-    This is the one place that adds vectors in rank form: XOR of ranks when
-    q = 2, a digit-wise sum on the support of z otherwise.
+    XOR of ranks when q = 2, a digit-wise sum on the support of z otherwise,
+    each digit of i found by division.  ``graph.decode`` holds the received
+    word's digits already and adds its ball to them directly.
     """
     if q == 2:
         return [i ^ z for z, _, _ in diffs]

@@ -17,7 +17,8 @@ violation search translates bit planes of the class index and the parity
 symbols, one bitmask of message ranks each, by every difference of weight up
 to 2t (``fields.translate_mask``), so it checks all message pairs at that
 difference in O(r log q + log m) whole-mask operations for m classes.
-Decoding searches the radius-t Hamming ball around the received message part.
+Decoding reads the received message digits once and moves the radius-t
+Hamming ball on them, comparing each candidate's parity word in C.
 """
 
 from __future__ import annotations
@@ -124,10 +125,15 @@ class FccEncoder:
         return tuple(u) + self.parity[rank]
 
     @cached_property
-    def _ball(self) -> tuple[Difference, ...]:
-        """The message differences of weight at most t, built once for
-        ``decode``."""
-        return tuple(differences(self.f.q, self.f.k, 0, self.t))
+    def _ball(self) -> tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]:
+        """The message differences of weight at most t as (weight, moves),
+        moves = ((position, symbol, place), ...), built once for ``decode``."""
+        q, k = self.f.q, self.f.k
+        position = {q ** (k - 1 - p): p for p in range(k)}
+        return tuple(
+            (len(support), tuple(zip(map(position.get, support), symbols, support)))
+            for _, support, symbols in differences(q, k, 0, self.t)
+        )
 
     @cached_property
     def _classes(self) -> CosetDecomposition:
@@ -344,7 +350,10 @@ def decode(E: FccEncoder, y: tuple[int, ...]):
 
     Ties go to the lowest message rank.  A codeword within t of y has its
     message within t of y's message part, so only that radius-t ball is
-    searched: O(V(k, t)) per word.  The value is read off f's class map,
+    searched.  The message digits of y are read once into a rank; each ball
+    entry moves that rank by the digits it changes, and its parity word is
+    compared with y's in C (``hamming_distance``): O(V(k, t)) entries per
+    word, O(r) work each.  The value is read off f's class map,
     held on the encoder, with no message decoded or evaluated.  Raises
     DecodingFailureError when every codeword is farther than t; the decoder
     never guesses.
@@ -354,13 +363,17 @@ def decode(E: FccEncoder, y: tuple[int, ...]):
         raise ValueError(f"received word must have length {k + r}")
     if any(not 0 <= d < q for d in y):
         raise ValueError(f"received word {y} has symbols outside F_{q}")
-    head, tail = tuple(y[:k]), tuple(y[k:])
-    msg_index = VectorIndex(q, k)
-    ball = E._ball
-    best_d, best_rank = min(
-        (len(support) + hamming_distance(E.parity[u], tail), u)
-        for (_, support, _), u in zip(ball, translate(q, msg_index.rank(head), ball))
-    )
+    head = 0
+    for d in y[:k]:
+        head = head * q + d
+    tail, parity = tuple(y[k:]), E.parity
+    candidates = []
+    for weight, moves in E._ball:
+        u = head
+        for p, s, place in moves:
+            u += ((y[p] + s) % q - y[p]) * place
+        candidates.append((weight + hamming_distance(parity[u], tail), u))
+    best_d, best_rank = min(candidates)
     if best_d > E.t:
         raise DecodingFailureError(
             f"no codeword within distance {E.t} of the received word"

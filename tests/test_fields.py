@@ -74,15 +74,16 @@ def test_vector_index_validates_input():
 
 def test_hamming_metrics_match_oracles():
     rng = random.Random(7)
-    for q in (2, 3, 5):
+    for q in (2, 3, 5, 11):
         for _ in range(60):
             n = rng.randrange(1, 9)
             x = tuple(rng.randrange(q) for _ in range(n))
             y = tuple(rng.randrange(q) for _ in range(n))
             assert hamming_distance(x, y) == slow_distance(x, y)
+            assert type(hamming_distance(x, y)) is int
             assert hamming_distance(x, y) == hamming_distance(y, x)
             assert hamming_distance(x, x) == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^length mismatch: 2 vs 3$"):
         hamming_distance((0, 1), (0, 1, 0))
 
 

@@ -1,6 +1,7 @@
 """Conflict graphs, encoder extraction, decoding, and structure checks."""
 
 import random
+import re
 
 import pytest
 
@@ -306,6 +307,7 @@ ORACLE_SHAPES = [
     (2, 3, 0, 1), (2, 3, 2, 3), (2, 4, 3, 1), (2, 2, 4, 2),
     (3, 2, 0, 2), (3, 2, 2, 1), (3, 3, 1, 1), (3, 1, 2, 1),
     (5, 2, 0, 1), (5, 2, 1, 2), (5, 1, 2, 1), (5, 3, 1, 3),
+    (7, 2, 2, 1), (11, 1, 3, 1), (11, 2, 1, 2),
 ]
 
 
@@ -428,10 +430,24 @@ def test_violation_search_walks_no_message_pair(monkeypatch):
 
 def test_decode_input_validation(ex_q2_k3):
     E = _good_encoder(ex_q2_k3, 1)
-    with pytest.raises(ValueError):
-        decode(E, (0,) * (3 + E.r + 1))
-    with pytest.raises(ValueError):
-        decode(E, (0, 2, 0) + (0,) * E.r)
+    n = 3 + E.r
+    for y in ((0,) * (n - 1), (0,) * (n + 1)):
+        with pytest.raises(ValueError, match=f"^received word must have length {n}$"):
+            decode(E, y)
+    y = (0, 2, 0) + (0,) * E.r
+    text = f"received word {y} has symbols outside F_2"
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        decode(E, y)
+    # q=3, k=3, r=2: the refusals come before any rank is formed from y
+    f = linear_function(3, [(1, 2, 0), (0, 1, 1)])
+    E = FccEncoder(f=f, t=1, r=2, parity=((0, 1),) * 27)
+    for y in ((0,) * 4, (0,) * 6):
+        with pytest.raises(ValueError, match=r"^received word must have length 5$"):
+            decode(E, y)
+    for y in ((0, 0, 0, 0, 3), (0, 0, 0, -1, 0)):
+        text = f"received word {y} has symbols outside F_3"
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            decode(E, y)
 
 
 def test_encoder_validation(ex_q2_k3):
