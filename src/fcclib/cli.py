@@ -341,6 +341,8 @@ def cmd_compare(args, argv) -> int:
     if len(parts) != 2:
         raise ValueError(f"--k-range must have the form A:B, got {args.k_range!r}")
     low, high = (_int("--k-range", part) for part in parts)
+    if low < 1:
+        raise ValueError(f"--k-range must have A >= 1, got {args.k_range!r}")
     if low > high:
         raise ValueError(f"--k-range must have A <= B, got {args.k_range!r}")
     k_range = range(low, high + 1)

@@ -7,7 +7,8 @@ function values differ) and its image-level reduction, the class-wise maximum
 of the former.  Both are read off the radius-2t Hamming ball, for any f: a
 message u and u + z in another class demand the gap 2t+1 - wt(z).  N_q(D), the
 shortest word length admitting a code that meets D, is computed by exact
-depth-first search over bitmasks of rank-form words, lowest rank first.
+depth-first search over bitmasks of rank-form words, lowest rank first, on an
+explicit stack with no depth limit, like the MIS and optimality_check.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from time import monotonic
 
 from .errors import BudgetExceededError, SizeLimitError
 from .fields import (
+    ENUMERATION_LIMIT,
     FieldVec,
     VectorIndex,
     _bitmask,
@@ -230,57 +232,6 @@ def _refuse_order(order: int) -> None:
         )
 
 
-def _search_at_length(
-    D: DistanceMatrix, q: int, r: int, deadline: float | None = None
-) -> ParityCode | None:
-    """First code of length r meeting D, depth first over the rows in order,
-    each word the lowest rank left in its row's domain: a bitmask of the words
-    at distance >= D[L][j] from every chosen c_j (row 0 holds only the zero
-    word, by translation symmetry).  A word narrows the domains of the later
-    rows its row constrains and is dropped when one empties (forward checking),
-    which cuts only subtrees holding no code: the witness is the plain search's."""
-    m, size, full = D.order, q**r, (1 << q**r) - 1
-    balls = {e: differences(q, r, 0, e - 1) for e in set(b"".join(D.rows)) if e}
-    # Words at distance >= e from word c, one cache per e; at most 16 MiB held.
-    cap = (1 << 27) // (size * len(balls) or 1) + 1
-    far = {
-        e: lru_cache(cap)(lambda c, b=b: full ^ _bitmask(translate(q, c, b), size))
-        for e, b in balls.items()
-    }
-    later = [
-        [(j, far[e]) for j, e in enumerate(row[i + 1 :], i + 1) if e]
-        for i, row in enumerate(D.rows)
-    ]
-    chosen = []
-
-    def extend(level: int, domains: list[int]) -> bool:
-        if level == m:
-            return True
-        # Every call reads the clock: one call may build m masks of q^r bits.
-        if deadline is not None and monotonic() > deadline:
-            raise BudgetExceededError("parity-code search exceeded the time budget")
-        allowed, rows = domains[level], later[level]
-        while allowed:
-            low = allowed & -allowed
-            c = low.bit_length() - 1
-            narrowed = domains.copy()
-            for j, fe in rows:
-                narrowed[j] &= fe(c)
-                if not narrowed[j]:
-                    break
-            else:
-                chosen.append(c)
-                if extend(level + 1, narrowed):
-                    return True
-                chosen.pop()
-            allowed ^= low
-        return False
-
-    if extend(0, [1] + [full] * (m - 1)):
-        return ParityCode(q=q, r=r, words=tuple(map(VectorIndex(q, r).vector, chosen)))
-    return None
-
-
 def n_q_exact(
     D: DistanceMatrix,
     q: int,
@@ -289,23 +240,69 @@ def n_q_exact(
 ) -> NqSearchResult:
     """Smallest word length admitting a code that meets D, with a witness.
 
-    Scans lengths upward from the largest entry of D (no shorter length can
-    satisfy it), so the first success is minimal.  Each later row keeps one
-    domain bitmask of ranks, and the search backtracks as soon as one empties;
-    the witness is the one a plain row-by-row search finds first.  Exhausting
-    r_cap yields a ``found=False`` result; a non-prime q or an empty D raises
-    ValueError, an order above DEFAULT_MAX_ORDER SizeLimitError, and running
-    past ``deadline`` BudgetExceededError.
+    Scans lengths upward from D's largest entry (no shorter length can satisfy
+    it), so the first success is minimal.  Each length is searched depth first
+    on an explicit stack with no depth limit, like the MIS and optimality_check:
+    row L takes the lowest rank left in its domain, the words at distance >=
+    D[L][j] from each chosen c_j (row 0 holds only zero).  A word narrows the
+    later rows' domains and is dropped when one empties (forward checking): the
+    witness is the plain search's.  Exhausting r_cap gives ``found=False``; a
+    non-prime q, an empty D or a negative r_cap raises ValueError, an order
+    above DEFAULT_MAX_ORDER or a q^r above ENUMERATION_LIMIT SizeLimitError, and
+    passing ``deadline`` (read per row entered) BudgetExceededError.
     """
     _check_prime(q)
     if D.order == 0:
         raise ValueError("the requirement matrix is empty")
     if r_cap is None:
         r_cap = 12 if q == 2 else 8
+    if r_cap < 0:
+        raise ValueError(f"the length cap must be >= 0, got {r_cap}")
     _refuse_order(D.order)
     for r in range(D.max_entry(), r_cap + 1):
-        witness = _search_at_length(D, q, r, deadline=deadline)
-        if witness is not None:
+        if over := _count_over(q, r, ENUMERATION_LIMIT):
+            raise SizeLimitError(f"q^r = {over} exceeds the limit {ENUMERATION_LIMIT}")
+        m, size, full = D.order, q**r, (1 << q**r) - 1
+        balls = {e: differences(q, r, 0, e - 1) for e in set(b"".join(D.rows)) if e}
+        # Words at distance >= e from word c, one cache per e; at most 16 MiB held.
+        cap = (1 << 27) // (size * len(balls) or 1) + 1
+        far = {
+            e: lru_cache(cap)(lambda c, b=b: full ^ _bitmask(translate(q, c, b), size))
+            for e, b in balls.items()
+        }
+        later = [
+            [(j, far[e]) for j, e in enumerate(row[i + 1 :], i + 1) if e]
+            for i, row in enumerate(D.rows)
+        ]
+        # One frame (domains, untried words, chosen word) per row above `level`.
+        domains, allowed, level, stack = [1] + [full] * (m - 1), 1, 0, []
+        if deadline is not None and monotonic() > deadline:
+            raise BudgetExceededError("parity-code search exceeded the time budget")
+        while allowed or stack:
+            if not allowed:
+                (domains, allowed, _), level = stack.pop(), level - 1
+                continue
+            low = allowed & -allowed
+            allowed ^= low
+            c = low.bit_length() - 1
+            narrowed = domains.copy()
+            for j, fe in later[level]:
+                narrowed[j] &= fe(c)
+                if not narrowed[j]:
+                    break
+            else:
+                level += 1
+                if level == m:
+                    break
+                if deadline is not None and monotonic() > deadline:
+                    raise BudgetExceededError(
+                        "parity-code search exceeded the time budget"
+                    )
+                stack.append((domains, allowed, c))
+                domains, allowed = narrowed, narrowed[level]
+        if level == m:
+            ranks = [frame[2] for frame in stack] + [c]
+            witness = ParityCode(q, r, tuple(map(VectorIndex(q, r).vector, ranks)))
             assert verify_d_code(witness, D)
             return NqSearchResult(found=True, n=r, witness=witness, r_cap=r_cap)
     return NqSearchResult(found=False, n=None, witness=None, r_cap=r_cap)

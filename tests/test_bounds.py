@@ -7,6 +7,7 @@ import re
 import sys
 from collections import Counter
 from fractions import Fraction
+from time import monotonic
 
 import pytest
 
@@ -402,6 +403,16 @@ def test_optimality_check_needs_no_recursion_depth():
     finally:
         sys.setrecursionlimit(limit)
     assert report.optimal is True
+
+
+def test_optimality_check_stops_at_a_past_deadline():
+    # [I_10 | e_1] over F_2: 1,024 classes, so the first descent reaches
+    # node 1,024, where the clock is read
+    rows = [[int(j == i) for j in range(10)] + [int(i == 0)] for i in range(10)]
+    f = linear_function(2, rows)
+    assert optimality_check(f, 1) is True
+    with pytest.raises(BudgetExceededError, match="exceeded the time budget"):
+        optimality_check(f, 1, deadline=monotonic() - 1.0)
 
 
 def test_ball_packing_bounds():

@@ -234,6 +234,10 @@ def test_nq_inline_and_capped(capsys):
     )
     assert code == EX_NEGATIVE
     assert payload["found"] is False and payload["r_cap"] == 2
+    # 2^30 words at the first length: refused before any mask is built
+    code, out, err = run(capsys, "nq", "--matrix", "0,30;30,0", "--r-max", "30")
+    assert code == EX_BUDGET and out == ""
+    assert "q^r = 1073741824 exceeds the limit 16777216" in err
 
 
 def test_nq_rejects_empty_matrix_and_composite_q(capsys):
@@ -241,6 +245,8 @@ def test_nq_rejects_empty_matrix_and_composite_q(capsys):
     assert code == EX_INPUT and out == "" and "empty" in err
     code, out, err = run(capsys, "nq", "--matrix", "0,0;0,0", "--q", "6")
     assert code == EX_INPUT and out == "" and "prime" in err
+    code, out, err = run(capsys, "nq", "--matrix", "0,3;3,0", "--r-max", "-1")
+    assert code == EX_INPUT and out == "" and "length cap must be >= 0, got -1" in err
     # a function source, unlike nq's requirement rows, needs a row
     code, out, err = run(capsys, "drm", "--matrix", ";", "--t", "1")
     assert code == EX_INPUT and out == "" and "--matrix needs at least one row" in err
@@ -565,6 +571,7 @@ def test_compare_routes(capsys, tmp_path):
         (["--d", "3", "--k-range", "2-4"], "--k-range must have the form A:B"),
         (["--d", "3", "--k-range", "a:3"], "--k-range: expected an integer, got 'a'"),
         (["--d", "3", "--k-range", "5:3"], "--k-range must have A <= B, got '5:3'"),
+        (["--d", "3", "--k-range", "0:3"], "--k-range must have A >= 1, got '0:3'"),
     ):
         code, out, err = run(capsys, "compare", *bad)
         assert code == EX_INPUT and out == "" and message in err, bad

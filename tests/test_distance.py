@@ -11,6 +11,7 @@ from fcclib import (
     BudgetExceededError,
     DistanceMatrix,
     ParityCode,
+    SizeLimitError,
     binary_plotkin_bound,
     build_drm,
     build_fdm,
@@ -23,7 +24,7 @@ from fcclib import (
     verify_d_code,
 )
 from fcclib import distance
-from fcclib.distance import DEFAULT_MAX_ORDER, PAIRWISE_MATRIX_LIMIT, _search_at_length
+from fcclib.distance import DEFAULT_MAX_ORDER, PAIRWISE_MATRIX_LIMIT
 from fcclib.formats import read_matrix_csv
 from helpers import (
     all_words,
@@ -384,19 +385,37 @@ def test_n_q_exact_matches_tuple_form_scan_at_orders_7_to_12():
             assert (res.n, res.witness.words) == ref
 
 
-def test_search_stops_at_the_root_when_word_zero_empties_a_domain(monkeypatch):
-    # row 5 needs distance 4 from word 0, which no word of length 3 has; a
-    # plain row-by-row search would walk rows 1..4 (8^4 nodes) to find out
-    entries = [[0] * 6 for _ in range(6)]
-    entries[0][5] = entries[5][0] = 4
+def test_forward_checking_refutes_a_length_at_level_one(monkeypatch):
+    # row 6 needs distance 3 from word 0 and from row 1's non-zero word,
+    # which no word of length 3 has: every word of row 1 empties row 6's
+    # domain, so the search enters rows 0 and 1 only, where a plain
+    # row-by-row search would walk rows 2..5 (8^4 nodes per word of row 1)
+    entries = [[0] * 7 for _ in range(7)]
+    entries[0][1] = entries[1][0] = 1
+    entries[0][6] = entries[6][0] = entries[1][6] = entries[6][1] = 3
     D = matrix_from_lists(entries)
     reads = []
-    monkeypatch.setattr(distance, "monotonic", lambda: reads.append(0) or 0.0)
-    assert _search_at_length(D, 2, 3, deadline=1.0) is None
-    assert len(reads) == 1
-    assert slow_search_at_length(entries, 2, 3) is None
+    with monkeypatch.context() as patch:
+        patch.setattr(distance, "monotonic", lambda: reads.append(0) or 0.0)
+        res = n_q_exact(D, 2, r_cap=3, deadline=1.0)
+    assert not res.found and len(reads) == 2
     res = n_q_exact(D, 2)
     assert (res.n, res.witness.words) == _reference_scan(entries, 2, 4)
+    assert res.n == 4
+
+
+def test_n_q_exact_needs_no_recursion_depth(monkeypatch):
+    # one stack level per row, as in optimality_check and the MIS
+    # (test_optimality_check_needs_no_recursion_depth and
+    # test_edgeless_graph_deeper_than_the_recursion_limit)
+    monkeypatch.setattr(distance, "DEFAULT_MAX_ORDER", 2_000)
+    entries = [[0] * 1200 for _ in range(1200)]
+    res = n_q_exact(matrix_from_lists(entries), 2)
+    assert res.found and res.n == 0 and res.witness.words == ((),) * 1200
+    entries[0][1199] = entries[1199][0] = 2
+    res = n_q_exact(matrix_from_lists(entries), 2)
+    assert res.found and res.n == 2
+    assert res.witness.words == ((0, 0),) * 1199 + ((1, 1),)
 
 
 def test_n_q_exact_monotone_under_entry_increase():
@@ -418,6 +437,10 @@ def test_n_q_exact_refuses_large_matrices():
     assert D.order > DEFAULT_MAX_ORDER
     with pytest.raises(BudgetExceededError):
         n_q_exact(D, 2)
+    # q^r = 2^30 words at the first length: refused before any mask is built
+    D = matrix_from_lists([[0, 30], [30, 0]])
+    with pytest.raises(SizeLimitError, match="q\\^r = 1073741824 exceeds"):
+        n_q_exact(D, 2, r_cap=30)
 
 
 def test_n_q_exact_rejects_empty_matrix_and_composite_q():
@@ -425,6 +448,8 @@ def test_n_q_exact_rejects_empty_matrix_and_composite_q():
         n_q_exact(matrix_from_lists([]), 2)
     with pytest.raises(ValueError, match="prime"):
         n_q_exact(matrix_from_lists([[0, 0], [0, 0]]), 6)
+    with pytest.raises(ValueError, match="length cap must be >= 0, got -1"):
+        n_q_exact(matrix_from_lists([[0, 3], [3, 0]]), 2, r_cap=-1)
 
 
 def test_n_q_exact_deadline_interrupts():

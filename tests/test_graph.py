@@ -244,6 +244,15 @@ def test_extraction_fails_when_no_code_exists(ex_q2_k3):
         extract_fcc(build_graph(ex_q2_k3, 1, 1), ex_q2_k3, 1)
 
 
+def test_extraction_refuses_a_set_that_repeats_a_message():
+    # an edgeless graph on q^(k+r) = 4 vertices: the independent set holds
+    # both parity words of message 0
+    G = FccGraph(q=2, k=1, r=1, t=1, rows=(0, 0, 0, 0))
+    f = linear_function(2, [(1,)])
+    with pytest.raises(CodeNotFoundError, match="repeats a message value"):
+        extract_fcc(G, f, 1)
+
+
 def test_extraction_parameter_mismatch(ex_q2_k3, ex_q3_k2):
     G = build_graph(ex_q2_k3, 1, 1)
     with pytest.raises(ValueError):
