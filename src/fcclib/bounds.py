@@ -13,7 +13,13 @@ from fractions import Fraction
 from functools import lru_cache
 from time import monotonic
 
-from .distance import _fdm_search, _pairwise_plotkin, build_fdm
+from .distance import (
+    _fdm_search,
+    _pairwise_plotkin,
+    _refuse_order,
+    build_fdm,
+    n_q_exact,
+)
 from .errors import BudgetExceededError, SizeLimitError
 from .fields import (
     VectorIndex,
@@ -590,7 +596,14 @@ def bound_report(
         )
 
     def code_search():
-        val = _found(_fdm_search(f, t, None, deadline, fdm))
+        nonlocal fdm
+        _refuse_order(image_size(f))
+        fdm = build_fdm(f, t) if fdm is None else fdm
+        res = n_q_exact(fdm, q, deadline=deadline)
+        # The search starts at the largest entry: above the cap, it ran none.
+        if not res.found and (top := fdm.max_entry()) > (cap := res.r_cap):
+            raise _TooLarge(f"largest entry {top} exceeds the length cap {cap}")
+        val = _found(res)
         return whole(val, "exact parity-code search on the function-distance matrix")
 
     providers = (

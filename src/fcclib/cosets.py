@@ -6,21 +6,16 @@ coset representatives.  Messages then inherit the parity word of their
 coset's representative, so a parity set designed for the q^l representatives
 protects the whole space.  One expander turns a word per class into an
 ``FccEncoder`` table; ``fcc construct``'s default route feeds it the words of
-the function-distance search.  ``graph.verify_fcc`` and ``graph.decode``
-serve these encoders like any other.
+the function-distance search.  The encoder's class view checks the words
+against the function-distance matrix once; ``graph.verify_fcc`` then reads
+that check, and ``graph.decode`` decodes linear f on the classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .distance import (
-    DistanceMatrix,
-    ParityCode,
-    build_fdm,
-    matrix_from_lists,
-    verify_d_code,
-)
+from .distance import DistanceMatrix, ParityCode, build_fdm, matrix_from_lists
 from .errors import CodeNotFoundError
 from .fields import _pivot_columns
 from .functions import (
@@ -114,8 +109,8 @@ def build_cosetwise_encoder(
     """Encoder assigning parity_source's word i to every message in the coset
     of representative i (representatives in truncation-rank order).
 
-    The words are first checked against the function-distance requirements;
-    a violating parity set is rejected with CodeNotFoundError.
+    The encoder's class view checks the words against the function-distance
+    requirements; a violating parity set is rejected with CodeNotFoundError.
     """
     sel = select_subspace_representatives(f)
     q, l = f.q, f.l
@@ -128,11 +123,12 @@ def build_cosetwise_encoder(
         )
     by_class = sorted(zip(sel.class_indices, parity_source.words))
     code = ParityCode(q=q, r=parity_source.r, words=tuple(w for _, w in by_class))
-    if not verify_d_code(code, build_fdm(f, t)):
+    E = _class_encoder(f, t, code)
+    if E._class_view is None:
         raise CodeNotFoundError(
             "parity words violate the function-distance requirements"
         )
-    return _class_encoder(f, t, code)
+    return E
 
 
 def reduced_problem(f: FunctionSpec, t: int) -> DistanceMatrix:

@@ -309,14 +309,13 @@ def n_q_exact(
 
 
 def _fdm_search(
-    f: FunctionSpec, t: int, r_cap: int | None, deadline: float | None, fdm=None
+    f: FunctionSpec, t: int, r_cap: int | None, deadline: float | None
 ) -> NqSearchResult:
-    """n_q_exact on ``fdm``, built as build_fdm(f, t) when None; an image
-    above the search limit is refused before the matrix is built."""
+    """n_q_exact on build_fdm(f, t); an image above the search limit is
+    refused before the matrix is built."""
     _check_t(t)
     _refuse_order(image_size(f))
-    fdm = build_fdm(f, t) if fdm is None else fdm
-    return n_q_exact(fdm, f.q, r_cap=r_cap, deadline=deadline)
+    return n_q_exact(build_fdm(f, t), f.q, r_cap=r_cap, deadline=deadline)
 
 
 def binary_plotkin_bound(D: DistanceMatrix) -> Fraction:

@@ -19,13 +19,24 @@ to 2t (``fields.translate_mask``), so it checks all message pairs at that
 difference in O(r log q + log m) whole-mask operations for m classes.
 Decoding reads the received message digits once and moves the radius-t
 Hamming ball on them, comparing each candidate's parity word in C.
+
+A class encoder gives every message of a class of f one parity word.  It
+is an FCC exactly when those words meet the function-distance matrix
+(Lenz et al.), so the encoder keeps one class view: the words, checked
+once against ``build_fdm(f, t)``.  With it, verification is a lookup, and
+decoding a linear f ranks the classes near the received message by their
+FDM entries instead of walking the message ball.  Every other encoder
+(table f for decoding, graph-searched parity, a broken class encoder)
+keeps the bit-plane sweep and the ball walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
+from .distance import DistanceMatrix, ParityCode, build_fdm, verify_d_code
 from .errors import CodeNotFoundError, DecodingFailureError
 from .fields import (
     Difference,
@@ -89,7 +100,12 @@ class FccGraph:
 
 @dataclass(frozen=True)
 class FccEncoder:
-    """Systematic encoder: message u maps to the codeword (u, parity[rank(u)])."""
+    """Systematic encoder: message u maps to the codeword (u, parity[rank(u)]).
+
+    When every class of f shares one parity word and the words meet f's
+    function-distance matrix, ``_class_view`` holds them and the matrix,
+    and ``find_fcc_violation`` and ``decode`` read it instead of the
+    messages."""
 
     f: FunctionSpec
     t: int
@@ -137,8 +153,23 @@ class FccEncoder:
 
     @cached_property
     def _classes(self) -> CosetDecomposition:
-        """f's class map and labels, looked up once for ``decode``."""
+        """f's class map and labels, looked up once for ``decode`` and the
+        class view."""
         return coset_decomposition(self.f)
+
+    @cached_property
+    def _class_view(self) -> tuple[tuple[tuple[int, ...], ...], DistanceMatrix] | None:
+        """(words, FDM) when parity[u] is words[class of u] for every u and
+        the words meet ``build_fdm(f, t)``, else None: O(q^k) to read the
+        words, then the matrix and its check on the classes alone."""
+        classes = self._classes
+        words = tuple(self.parity[members[0]] for members in classes.classes)
+        if tuple(map(words.__getitem__, classes.class_of)) != self.parity:
+            return None
+        fdm = build_fdm(self.f, self.t)
+        if not verify_d_code(ParityCode(self.f.q, self.r, words), fdm):
+            return None
+        return words, fdm
 
 
 def _connection_set(f: FunctionSpec, t: int, r: int) -> list[Difference]:
@@ -273,12 +304,14 @@ def find_fcc_violation(
     """First message pair breaking the distance property, as (u_i, u_j,
     codeword distance), or None when the encoder is a valid code.
 
-    Pairs are taken in lexicographic rank order.  Messages more than 2t
-    apart meet the distance on the message part alone, so only differences
-    z of weight 1..2t matter, and each is checked for all q^k messages at
-    once.  The class index and every parity symbol are bit-sliced into
-    planes, one bitmask of ranks each; translating a plane by z and XOR-ing
-    marks the ranks i whose class or symbol differs from that of i - z.
+    An encoder with a class view is valid by that view's check and returns
+    None at once.  Otherwise pairs are taken in lexicographic rank order.
+    Messages more than 2t apart meet the distance on the message part
+    alone, so only differences z of weight 1..2t matter, and each is
+    checked for all q^k messages at once.  The class index and every
+    parity symbol are bit-sliced into planes, one bitmask of ranks each;
+    translating a plane by z and XOR-ing marks the ranks i whose class or
+    symbol differs from that of i - z.
     A bit-sliced counter of differing parity positions then gives the ranks
     in a pair at z that is closer than 2t+1: O(V(k, 2t) * (r log q + log m))
     whole-mask operations for m classes, no per-pair work.  Both ends of
@@ -286,6 +319,8 @@ def find_fcc_violation(
     smaller message of the first pair; only that message's row is then
     walked pair by pair.
     """
+    if E._class_view is not None:
+        return None
     q, k = E.f.q, E.f.k
     size = q**k
     cls = coset_decomposition(E.f).class_of
@@ -348,17 +383,27 @@ def verify_fcc(E: FccEncoder) -> bool:
 def decode(E: FccEncoder, y: tuple[int, ...]):
     """Function value of the nearest codeword to y, if one lies within radius t.
 
-    Ties go to the lowest message rank.  A codeword within t of y has its
-    message within t of y's message part, so only that radius-t ball is
-    searched.  The message digits of y are read once into a rank; each ball
-    entry moves that rank by the digits it changes, and its parity word is
-    compared with y's in C (``hamming_distance``): O(V(k, t)) entries per
-    word, O(r) work each.  The value is read off f's class map,
-    held on the encoder, with no message decoded or evaluated.  Raises
-    DecodingFailureError when every codeword is farther than t; the decoder
-    never guesses.
+    A linear f with a class view decodes on the classes: y's message part
+    lies in class c, and class a lies 2t+1 - e away from it for an FDM
+    entry e = D[c][a] > 0 (a coset distance, the same from every member),
+    so within t only when e >= t+1.  Class c at distance 0 and those
+    classes are the candidates, each at that distance plus its word's
+    distance to y's parity part.  At most one candidate is within t: two
+    classes within t of y would be within 2t of each other, which the view
+    rules out.  So the first one found is the answer, with no tie to break.
+    O(q^l) per word, no message ball.
+
+    Otherwise ties go to the lowest message rank.  A codeword within t of y
+    has its message within t of y's message part, so only that radius-t
+    ball is searched.  The message digits of y are read once into a rank;
+    each ball entry moves that rank by the digits it changes, and its
+    parity word is compared with y's in C (``hamming_distance``): O(V(k, t))
+    entries per word, O(r) work each.  Either way the value is read off f's
+    class map, held on the encoder, with no message decoded or evaluated.
+    Raises DecodingFailureError when every codeword is farther than t; the
+    decoder never guesses.
     """
-    q, k, r = E.f.q, E.f.k, E.r
+    q, k, r, t = E.f.q, E.f.k, E.r, E.t
     if len(y) != k + r:
         raise ValueError(f"received word must have length {k + r}")
     if any(not 0 <= d < q for d in y):
@@ -366,20 +411,29 @@ def decode(E: FccEncoder, y: tuple[int, ...]):
     head = 0
     for d in y[:k]:
         head = head * q + d
-    tail, parity = tuple(y[k:]), E.parity
-    candidates = []
-    for weight, moves in E._ball:
-        u = head
-        for p, s, place in moves:
-            u += ((y[p] + s) % q - y[p]) * place
-        candidates.append((weight + hamming_distance(parity[u], tail), u))
-    best_d, best_rank = min(candidates)
-    if best_d > E.t:
-        raise DecodingFailureError(
-            f"no codeword within distance {E.t} of the received word"
-        )
-    classes = E._classes
-    return classes.labels[classes.class_of[best_rank]]
+    tail, classes = tuple(y[k:]), E._classes
+    view = E._class_view if E.f.mode == "linear" else None
+    if view is not None:
+        # Class c counts as an entry 2t+1 (distance 0); the diagonal 0 is
+        # skipped.  The first class found within t is the only one.
+        words, fdm = view
+        c, need = classes.class_of[head], 2 * t + 1
+        for a, e in chain(((c, need),), enumerate(fdm[c])):
+            if e > t and need - e + hamming_distance(words[a], tail) <= t:
+                return classes.labels[a]
+    else:
+        parity, candidates = E.parity, []
+        for weight, moves in E._ball:
+            u = head
+            for p, s, place in moves:
+                u += ((y[p] + s) % q - y[p]) * place
+            candidates.append((weight + hamming_distance(parity[u], tail), u))
+        best_d, best_rank = min(candidates)
+        if best_d <= t:
+            return classes.labels[classes.class_of[best_rank]]
+    raise DecodingFailureError(
+        f"no codeword within distance {t} of the received word"
+    )
 
 
 @dataclass(frozen=True)

@@ -799,6 +799,13 @@ def test_report_tells_refusals_from_budget_exits():
     assert entry.limit == "size"
     with pytest.raises(SizeLimitError):
         fdm_upper_bound(proj6, 3)
+    # the k=2 bijection at t=13: its largest FDM entry 26 is above the
+    # binary length cap, so no length is searched
+    bijection = linear_function(2, [(1, 0), (0, 1)])
+    search = bound_report(bijection, 13).entries[-1]
+    assert search.name == "code_search" and search.integer is None
+    assert search.note == "largest entry 26 exceeds the length cap 12"
+    assert search.limit == "size"
 
 
 def _gate_cases():

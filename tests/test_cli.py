@@ -185,6 +185,13 @@ def test_bounds_size_refusals_are_not_budget_exits(capsys):
     assert by_name["code_search"]["limit"] == "size"
     assert by_name["independence"]["limit"] == "skipped"
     assert by_name["systematic"]["value"] == 10
+    # the k=2 bijection at t=13: the largest FDM entry 26 is above the cap
+    code, payload, _ = run_json(capsys, "bounds", "--matrix", "10;01", "--t", "13")
+    assert code == EX_OK
+    search = payload["entries"][-1]
+    assert search["name"] == "code_search" and search["value"] is None
+    assert search["note"] == "largest entry 26 exceeds the length cap 12"
+    assert search["limit"] == "size"
 
 
 def test_alpha_route(capsys, data_dir):

@@ -14,6 +14,7 @@ from fcclib import (
     DecodingFailureError,
     FccEncoder,
     FccGraph,
+    ParityCode,
     build_fdm,
     build_graph,
     coset_decomposition,
@@ -26,6 +27,7 @@ from fcclib import (
     verify_block_circulant,
     verify_fcc,
 )
+from fcclib.cosets import _class_encoder
 from fcclib.fields import _bitmask, differences, translate
 from fcclib.graph import EXACT_ALPHA_LIMIT, _cayley_rows, _connection_set
 from fcclib.formats import read_adjacency_file
@@ -332,13 +334,55 @@ def _oracle_encoders(seed):
             yield rng, FccEncoder(f=f, t=t, r=r, parity=rand_parity(rng, q, k, r))
 
 
+# (q, k, t) of the class encoders: every field size; q^k above 64 is
+# checked against slow_violation alone
+CLASS_SHAPES = [
+    (2, 3, 1), (2, 4, 2), (2, 6, 1), (2, 7, 1),
+    (3, 2, 1), (3, 3, 1), (3, 4, 1),
+    (5, 2, 1), (5, 3, 1), (7, 2, 1),
+]
+
+
+def _class_encoders(seed):
+    """Class encoders: each class of f gets one word.  Per f, the n_q_exact
+    witness of its function-distance matrix (valid) and random words at
+    r = 0..3 (mostly invalid); linear, table and constant f."""
+    rng = random.Random(seed)
+    for q, k, t in CLASS_SHAPES:
+        l = rng.choice([l for l in range(1, k + 1) if q**l <= 16])
+        for f in (
+            rand_linear(rng, q, k, l),
+            rand_table(rng, q, k, rng.randrange(2, 5)),
+            rand_linear(rng, q, k, 0),
+        ):
+            m = len(coset_decomposition(f))
+            yield rng, _class_encoder(f, t, n_q_exact(build_fdm(f, t), q).witness)
+            for r in range(4):
+                words = tuple(tuple(rng.randrange(q) for _ in range(r)) for _ in range(m))
+                yield rng, _class_encoder(f, t, ParityCode(q=q, r=r, words=words))
+
+
+def _received_words(rng, E):
+    """Every word when there are at most 1,000, else 300 drawn at random
+    and, for up to 40 random messages, the codeword with up to t symbol
+    errors."""
+    words = all_words(E.q, E.k + E.r)
+    if len(words) <= 1000:
+        return words
+    out = rng.sample(words, 300)
+    for rank in rng.sample(range(E.q**E.k), min(40, E.q**E.k)):
+        y = list(E.encode(all_words(E.q, E.k)[rank]))
+        for p in rng.sample(range(len(y)), rng.randrange(E.t + 1)):
+            y[p] = (y[p] + rng.randrange(1, E.q)) % E.q
+        out.append(tuple(y))
+    return out
+
+
 def test_decode_matches_nearest_codeword_oracle():
-    outcomes = set()
-    for rng, E in _oracle_encoders(31337):
-        words = all_words(E.q, E.k + E.r)
-        if len(words) > 1000:
-            words = rng.sample(words, 300)
-        for y in words:
+    outcomes, class_path = set(), set()
+    encoders = [*_oracle_encoders(31337), *_class_encoders(1618)]
+    for rng, E in encoders:
+        for y in _received_words(rng, E):
             want = brute_decode(E, y)
             if want is None:
                 with pytest.raises(DecodingFailureError):
@@ -346,7 +390,9 @@ def test_decode_matches_nearest_codeword_oracle():
             else:
                 assert decode(E, y) == want
             outcomes.add(want is None)
+        class_path.add(E.f.mode == "linear" and E._class_view is not None)
     assert outcomes == {True, False}
+    assert class_path == {True, False}
 
 
 def test_decode_evaluates_no_message(monkeypatch):
@@ -417,6 +463,14 @@ def test_violation_matches_ball_walk_on_valid_and_corrupted_encoders():
                     assert find_fcc_violation(bad) == want
                     late += want is not None and any(want[0])
     assert zero_r and late
+    views = set()
+    for _, E in _class_encoders(2024):
+        want = slow_violation(E)
+        if E.q**E.k <= 64:
+            assert want == brute_violation(E)
+        assert find_fcc_violation(E) == want
+        views.add(E._class_view is not None)
+    assert views == {True, False}
 
 
 def test_violation_search_walks_no_message_pair(monkeypatch):
@@ -435,6 +489,27 @@ def test_violation_search_walks_no_message_pair(monkeypatch):
     assert find_fcc_violation(bad) == slow_violation(bad) is not None
     assert calls["translate"] == 1
     assert calls["hamming_distance"] <= len(differences(3, 4, 1, 2))
+
+
+def test_class_encoder_is_verified_and_decoded_on_its_classes(monkeypatch):
+    # k = 16, l = 3, t = 2: neither the bit-plane sweep nor the message
+    # ball runs
+    rng = random.Random(16)
+    f = rand_linear(rng, 2, 16, 3)
+    E = _class_encoder(f, 2, n_q_exact(build_fdm(f, 2), 2).witness)
+
+    def refuse(*args):
+        raise AssertionError("verification translated a bit plane")
+
+    monkeypatch.setattr(fcclib.graph, "translate_mask", refuse)
+    assert verify_fcc(E)
+    for _ in range(20):
+        u = tuple(rng.randrange(2) for _ in range(16))
+        y = list(E.encode(u))
+        for p in rng.sample(range(len(y)), rng.randrange(3)):
+            y[p] ^= 1
+        assert decode(E, tuple(y)) == f.eval(u)
+    assert "_ball" not in E.__dict__
 
 
 def test_decode_input_validation(ex_q2_k3):
