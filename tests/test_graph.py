@@ -358,8 +358,9 @@ def _class_encoders(seed):
             m = len(coset_decomposition(f))
             yield rng, _class_encoder(f, t, n_q_exact(build_fdm(f, t), q).witness)
             for r in range(4):
-                words = tuple(tuple(rng.randrange(q) for _ in range(r)) for _ in range(m))
-                yield rng, _class_encoder(f, t, ParityCode(q=q, r=r, words=words))
+                words = [[rng.randrange(q) for _ in range(r)] for _ in range(m)]
+                code = ParityCode(q=q, r=r, words=tuple(map(tuple, words)))
+                yield rng, _class_encoder(f, t, code)
 
 
 def _received_words(rng, E):
@@ -369,9 +370,9 @@ def _received_words(rng, E):
     words = all_words(E.q, E.k + E.r)
     if len(words) <= 1000:
         return words
-    out = rng.sample(words, 300)
-    for rank in rng.sample(range(E.q**E.k), min(40, E.q**E.k)):
-        y = list(E.encode(all_words(E.q, E.k)[rank]))
+    out, messages = rng.sample(words, 300), all_words(E.q, E.k)
+    for u in rng.sample(messages, min(40, len(messages))):
+        y = list(E.encode(u))
         for p in rng.sample(range(len(y)), rng.randrange(E.t + 1)):
             y[p] = (y[p] + rng.randrange(1, E.q)) % E.q
         out.append(tuple(y))
