@@ -13,13 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from time import monotonic
 
-from .distance import (
-    _fdm_search,
-    _pairwise_plotkin,
-    _refuse_order,
-    build_fdm,
-    n_q_exact,
-)
+from .distance import _fdm_search, _pairwise_plotkin, build_fdm
 from .errors import BudgetExceededError, SizeLimitError
 from .fields import (
     VectorIndex,
@@ -273,7 +267,7 @@ def fdm_upper_bound(
 ) -> int:
     """Achievable redundancy: the exact N_q of the function-distance matrix,
     whose order is checked against the search limit before it is built."""
-    return _found(_fdm_search(f, t, r_cap, deadline))
+    return _found(_fdm_search(f, t, r_cap, deadline)[0])
 
 
 def _found(result) -> int:  # an exhausted length cap is a budget exit
@@ -596,12 +590,9 @@ def bound_report(
         )
 
     def code_search():
-        nonlocal fdm
-        _refuse_order(image_size(f))
-        fdm = build_fdm(f, t) if fdm is None else fdm
-        res = n_q_exact(fdm, q, deadline=deadline)
+        res, searched = _fdm_search(f, t, None, deadline, fdm)
         # The search starts at the largest entry: above the cap, it ran none.
-        if not res.found and (top := fdm.max_entry()) > (cap := res.r_cap):
+        if not res.found and (top := searched.max_entry()) > (cap := res.r_cap):
             raise _TooLarge(f"largest entry {top} exceeds the length cap {cap}")
         val = _found(res)
         return whole(val, "exact parity-code search on the function-distance matrix")

@@ -237,7 +237,7 @@ def cmd_nq(args, argv) -> int:
         f = _load_function(args)
         t = _required_t(args)
         if args.target == "fdm":
-            res = _fdm_search(f, t, args.r_max, deadline)
+            res, _ = _fdm_search(f, t, args.r_max, deadline)
         else:
             # Refuse the order before the q^k x q^k matrix is built.
             _refuse_order(_pairwise_order(f, t))
@@ -282,13 +282,13 @@ def cmd_construct(args, argv) -> int:
         E = extract_fcc(G, f, t, node_budget=node_budget, deadline=deadline)
         method = f"independent-set search at r={args.r}"
     else:
-        res = _fdm_search(f, t, args.r_max, deadline)
+        res, fdm = _fdm_search(f, t, args.r_max, deadline)
         if not res.found:
             raise CodeNotFoundError(
                 f"no parity code meets the function-distance matrix at any "
                 f"length up to {res.r_cap}; pass --r for a graph search"
             )
-        E = _class_encoder(f, t, res.witness)
+        E = _class_encoder(f, t, res.witness, fdm)
         method = "minimum-length parity search on the function-distance matrix"
     violation = find_fcc_violation(E)
     assert violation is None, f"constructed encoder fails verification: {violation}"

@@ -6,16 +6,23 @@ coset representatives.  Messages then inherit the parity word of their
 coset's representative, so a parity set designed for the q^l representatives
 protects the whole space.  One expander turns a word per class into an
 ``FccEncoder`` table; ``fcc construct``'s default route feeds it the words of
-the function-distance search.  The encoder's class view checks the words
-against the function-distance matrix once; ``graph.verify_fcc`` then reads
-that check, and ``graph.decode`` decodes linear f on the classes.
+the function-distance search.  The words are checked against the
+function-distance matrix once and kept as the encoder's class view;
+``graph.verify_fcc`` then reads that check, and ``graph.decode`` decodes
+linear f on the classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .distance import DistanceMatrix, ParityCode, build_fdm, matrix_from_lists
+from .distance import (
+    DistanceMatrix,
+    ParityCode,
+    build_fdm,
+    matrix_from_lists,
+    verify_d_code,
+)
 from .errors import CodeNotFoundError
 from .fields import _pivot_columns
 from .functions import (
@@ -94,13 +101,24 @@ def cosetwise_requirements(f: FunctionSpec, t: int) -> DistanceMatrix:
     return DistanceMatrix(rows=rows, labels=sel.truncated)
 
 
-def _class_encoder(f: FunctionSpec, t: int, code: ParityCode) -> FccEncoder:
+def _class_encoder(
+    f: FunctionSpec, t: int, code: ParityCode, fdm: DistanceMatrix | None = None
+) -> FccEncoder:
     """Encoder giving every message its class's word: ``code`` holds one word
     per class in function-distance-matrix order, and parity[rank] =
-    words[class_of[rank]]."""
+    words[class_of[rank]].  Given f's matrix ``fdm`` at t, the words are
+    checked against it (CodeNotFoundError when they fail) and become the
+    encoder's class view, so verification builds no second matrix."""
+    if fdm is not None and not verify_d_code(code, fdm):
+        raise CodeNotFoundError(
+            "parity words violate the function-distance requirements"
+        )
     words = code.words
     parity = tuple(words[a] for a in coset_decomposition(f).class_of)
-    return FccEncoder(f=f, t=t, r=code.r, parity=parity)
+    E = FccEncoder(f=f, t=t, r=code.r, parity=parity)
+    if fdm is not None:
+        E.__dict__["_class_view"] = (words, fdm)  # the cached_property's slot
+    return E
 
 
 def build_cosetwise_encoder(
@@ -109,8 +127,8 @@ def build_cosetwise_encoder(
     """Encoder assigning parity_source's word i to every message in the coset
     of representative i (representatives in truncation-rank order).
 
-    The encoder's class view checks the words against the function-distance
-    requirements; a violating parity set is rejected with CodeNotFoundError.
+    The words are first checked against the function-distance requirements;
+    a violating parity set is rejected with CodeNotFoundError.
     """
     sel = select_subspace_representatives(f)
     q, l = f.q, f.l
@@ -123,12 +141,7 @@ def build_cosetwise_encoder(
         )
     by_class = sorted(zip(sel.class_indices, parity_source.words))
     code = ParityCode(q=q, r=parity_source.r, words=tuple(w for _, w in by_class))
-    E = _class_encoder(f, t, code)
-    if E._class_view is None:
-        raise CodeNotFoundError(
-            "parity words violate the function-distance requirements"
-        )
-    return E
+    return _class_encoder(f, t, code, build_fdm(f, t))
 
 
 def reduced_problem(f: FunctionSpec, t: int) -> DistanceMatrix:

@@ -309,13 +309,15 @@ def n_q_exact(
 
 
 def _fdm_search(
-    f: FunctionSpec, t: int, r_cap: int | None, deadline: float | None
-) -> NqSearchResult:
-    """n_q_exact on build_fdm(f, t); an image above the search limit is
-    refused before the matrix is built."""
+    f: FunctionSpec, t: int, r_cap: int | None, deadline: float | None, fdm=None
+) -> tuple[NqSearchResult, DistanceMatrix]:
+    """n_q_exact on ``fdm``, built as build_fdm(f, t) when None, and the
+    matrix searched; an image above the search limit is refused before the
+    matrix is built."""
     _check_t(t)
     _refuse_order(image_size(f))
-    return n_q_exact(build_fdm(f, t), f.q, r_cap=r_cap, deadline=deadline)
+    fdm = build_fdm(f, t) if fdm is None else fdm
+    return n_q_exact(fdm, f.q, r_cap=r_cap, deadline=deadline), fdm
 
 
 def binary_plotkin_bound(D: DistanceMatrix) -> Fraction:

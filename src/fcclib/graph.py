@@ -22,19 +22,23 @@ Hamming ball on them, comparing each candidate's parity word in C.
 
 A class encoder gives every message of a class of f one parity word.  It
 is an FCC exactly when those words meet the function-distance matrix
-(Lenz et al.), so the encoder keeps one class view: the words, checked
-once against ``build_fdm(f, t)``.  With it, verification is a lookup, and
-decoding a linear f ranks the classes near the received message by their
-FDM entries instead of walking the message ball.  Every other encoder
-(table f for decoding, graph-searched parity, a broken class encoder)
-keeps the bit-plane sweep and the ball walk.
+(Lenz et al.), so an encoder of a linear f with a small image keeps one
+class view: the words, checked once against ``build_fdm(f, t)``.  Small
+means m^2 <= q^k for m classes: the matrix then has no more entries than
+the table has words, and building it walks at most m * V(k, 2t)
+translates where the sweep makes V(k, 2t) passes over q^k-bit masks.
+With the view, verification is that check, and decoding tries only the
+classes within t of the received message's class, read off the matrix:
+at most V(k, t) of them, one per message of the ball that the walk would
+visit.  A larger image (an injective f has m^2 = q^(2k)), a table f (whose
+matrix walks every message), graph-searched parity that is not class-wise
+and a broken class encoder keep the bit-plane sweep and the ball walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 from .distance import DistanceMatrix, ParityCode, build_fdm, verify_d_code
 from .errors import CodeNotFoundError, DecodingFailureError
@@ -102,10 +106,11 @@ class FccGraph:
 class FccEncoder:
     """Systematic encoder: message u maps to the codeword (u, parity[rank(u)]).
 
-    When every class of f shares one parity word and the words meet f's
-    function-distance matrix, ``_class_view`` holds them and the matrix,
-    and ``find_fcc_violation`` and ``decode`` read it instead of the
-    messages."""
+    When f is linear with m^2 <= q^k classes, every class shares one
+    parity word and the words meet f's function-distance matrix (or
+    ``cosets._class_encoder`` checked them on a matrix it was given),
+    ``_class_view`` holds them and the matrix, and ``find_fcc_violation``
+    and ``decode`` read it instead of the messages."""
 
     f: FunctionSpec
     t: int
@@ -161,8 +166,14 @@ class FccEncoder:
     def _class_view(self) -> tuple[tuple[tuple[int, ...], ...], DistanceMatrix] | None:
         """(words, FDM) when parity[u] is words[class of u] for every u and
         the words meet ``build_fdm(f, t)``, else None: O(q^k) to read the
-        words, then the matrix and its check on the classes alone."""
+        words, then the matrix and its check on the classes alone.  Only a
+        linear f with m^2 <= q^k classes is tried: for any other f the
+        matrix walks every message (table f) or has more entries than the
+        table has words, so the bit-plane sweep serves it.
+        ``cosets._class_encoder`` sets the view of words it has checked."""
         classes = self._classes
+        if self.f.mode != "linear" or len(classes) ** 2 > len(self.parity):
+            return None
         words = tuple(self.parity[members[0]] for members in classes.classes)
         if tuple(map(words.__getitem__, classes.class_of)) != self.parity:
             return None
@@ -170,6 +181,19 @@ class FccEncoder:
         if not verify_d_code(ParityCode(self.f.q, self.r, words), fdm):
             return None
         return words, fdm
+
+    @cached_property
+    def _near(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per class c of the class view, (a, distance from c) for c itself
+        at 0 and every class a within t of c, built once for ``decode``.
+        Class a lies 2t+1 - e from c for an FDM entry e = D[c][a] > 0 (a
+        coset distance, the same from every member of c), so within t
+        only when e > t."""
+        need = 2 * self.t + 1
+        return tuple(
+            ((c, 0), *((a, need - e) for a, e in enumerate(row) if e > self.t))
+            for c, row in enumerate(self._class_view[1].rows)
+        )
 
 
 def _connection_set(f: FunctionSpec, t: int, r: int) -> list[Difference]:
@@ -305,7 +329,7 @@ def find_fcc_violation(
     codeword distance), or None when the encoder is a valid code.
 
     An encoder with a class view is valid by that view's check and returns
-    None at once.  Otherwise pairs are taken in lexicographic rank order.
+    None.  Otherwise pairs are taken in lexicographic rank order.
     Messages more than 2t apart meet the distance on the message part
     alone, so only differences z of weight 1..2t matter, and each is
     checked for all q^k messages at once.  The class index and every
@@ -384,14 +408,13 @@ def decode(E: FccEncoder, y: tuple[int, ...]):
     """Function value of the nearest codeword to y, if one lies within radius t.
 
     A linear f with a class view decodes on the classes: y's message part
-    lies in class c, and class a lies 2t+1 - e away from it for an FDM
-    entry e = D[c][a] > 0 (a coset distance, the same from every member),
-    so within t only when e >= t+1.  Class c at distance 0 and those
-    classes are the candidates, each at that distance plus its word's
+    lies in class c, and the candidates are c and the classes within t of
+    it (``FccEncoder._near``), each at its class distance plus its word's
     distance to y's parity part.  At most one candidate is within t: two
     classes within t of y would be within 2t of each other, which the view
     rules out.  So the first one found is the answer, with no tie to break.
-    O(q^l) per word, no message ball.
+    A class within t of c has a member within t of y's message part, so
+    there are at most V(k, t) candidates, with no digits to move.
 
     Otherwise ties go to the lowest message rank.  A codeword within t of y
     has its message within t of y's message part, so only that radius-t
@@ -414,12 +437,9 @@ def decode(E: FccEncoder, y: tuple[int, ...]):
     tail, classes = tuple(y[k:]), E._classes
     view = E._class_view if E.f.mode == "linear" else None
     if view is not None:
-        # Class c counts as an entry 2t+1 (distance 0); the diagonal 0 is
-        # skipped.  The first class found within t is the only one.
-        words, fdm = view
-        c, need = classes.class_of[head], 2 * t + 1
-        for a, e in chain(((c, need),), enumerate(fdm[c])):
-            if e > t and need - e + hamming_distance(words[a], tail) <= t:
+        words = view[0]
+        for a, d in E._near[classes.class_of[head]]:
+            if d + hamming_distance(words[a], tail) <= t:
                 return classes.labels[a]
     else:
         parity, candidates = E.parity, []

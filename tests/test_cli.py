@@ -8,6 +8,7 @@ import pytest
 
 import fcclib.cli
 import fcclib.distance
+import fcclib.graph
 import fcclib.spectrum
 from fcclib import (
     __version__,
@@ -496,6 +497,26 @@ def test_construct_refuses_order_before_building_the_fdm(capsys, monkeypatch, tm
     assert code == EX_BUDGET and out == ""
     assert "matrix order 64 exceeds the search limit 20" in err
     assert built == []
+
+
+def test_construct_default_route_builds_the_fdm_once(capsys, monkeypatch, tmp_path):
+    # the searched matrix checks the witness words and stays on the
+    # encoder, so verifying the result builds no second one
+    f = linear_function(2, [(1, 1, 0, 1, 0, 0, 1, 0, 1), (0, 1, 1, 0, 1, 1, 0, 0, 1)])
+    func = tmp_path / "f.func"
+    func.write_text(render_function_file(f))
+    built = []
+    for module in (fcclib.distance, fcclib.graph):
+        real = module.build_fdm
+        monkeypatch.setattr(
+            module, "build_fdm", lambda g, t, real=real: built.append(t) or real(g, t)
+        )
+    enc = tmp_path / "f.enc"
+    code, payload, _ = run_json(
+        capsys, "construct", "--func", str(func), "--t", "1", "--out", str(enc)
+    )
+    assert code == EX_OK and payload["verified"] and built == [1]
+    assert verify_fcc(read_encoder_file(enc, f))
 
 
 def test_nq_refuses_order_before_building_either_matrix(capsys, monkeypatch, tmp_path):

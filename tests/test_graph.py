@@ -513,6 +513,62 @@ def test_class_encoder_is_verified_and_decoded_on_its_classes(monkeypatch):
     assert "_ball" not in E.__dict__
 
 
+def test_large_image_keeps_the_sweep_and_builds_no_matrix(monkeypatch):
+    # An injective f at k = 12 has m = 2^12 classes, so m^2 = 2^24 is above
+    # q^k: the class test would pass (one message per class), but no view
+    # is tried, so verifying and decoding build no 4096 x 4096 matrix
+    k = 12
+    f = linear_function(2, [[int(i == j) for j in range(k)] for i in range(k)])
+    # parity u * P for k distinct rows of P of weight >= 2: distance 3
+    checks = [v for v in range(32) if v.bit_count() >= 2][:k]
+    parity = []
+    for rank in range(2**k):
+        s = 0
+        for i in range(k):
+            if rank >> (k - 1 - i) & 1:
+                s ^= checks[i]
+        parity.append(tuple(s >> (4 - b) & 1 for b in range(5)))
+    E = FccEncoder(f=f, t=1, r=5, parity=tuple(parity))
+
+    def refuse(*args):
+        raise AssertionError("built the function-distance matrix")
+
+    monkeypatch.setattr(fcclib.graph, "build_fdm", refuse)
+    assert verify_fcc(E) and E._class_view is None
+    zero = FccEncoder(f=f, t=1, r=0, parity=((),) * 2**k)
+    assert find_fcc_violation(zero) == ((0,) * k, (0,) * (k - 1) + (1,), 1)
+    rng = random.Random(12)
+    for _ in range(10):
+        u = tuple(rng.randrange(2) for _ in range(k))
+        y = list(E.encode(u))
+        y[rng.randrange(k + 5)] ^= 1
+        assert decode(E, tuple(y)) == f.eval(u)
+    assert "_ball" in E.__dict__
+
+
+def test_class_view_is_tried_on_small_linear_images_or_set_when_checked():
+    # binary, t = 1: k = 4, l = 2 has m^2 = 16 = q^k and gets the view;
+    # k = 3, l = 2 (16 > 8) and a table f do not, and keep the sweep.
+    # Words checked against a given matrix become the view of any f.
+    rng = random.Random(7)
+    small = linear_function(2, [(1, 0, 0, 0), (0, 1, 0, 0)])
+    large = linear_function(2, [(1, 0, 0), (0, 1, 0)])
+    table = rand_table(rng, 2, 4, 3)
+    for f, tried in ((small, True), (large, False), (table, False)):
+        fdm = build_fdm(f, 1)
+        code = n_q_exact(fdm, 2).witness
+        E = _class_encoder(f, 1, code)
+        assert (E._class_view is not None) == tried
+        assert verify_fcc(E)
+        checked = _class_encoder(f, 1, code, fdm)
+        assert checked._class_view == (code.words, fdm)
+        assert checked.parity == E.parity
+        bad = ParityCode(q=2, r=code.r, words=((0,) * code.r,) * len(code))
+        assert not verify_fcc(_class_encoder(f, 1, bad))
+        with pytest.raises(CodeNotFoundError, match="function-distance"):
+            _class_encoder(f, 1, bad, fdm)
+
+
 def test_decode_input_validation(ex_q2_k3):
     E = _good_encoder(ex_q2_k3, 1)
     n = 3 + E.r
