@@ -114,7 +114,7 @@ def _class_encoder(
             "parity words violate the function-distance requirements"
         )
     words = code.words
-    parity = tuple(words[a] for a in coset_decomposition(f).class_of)
+    parity = tuple(map(words.__getitem__, coset_decomposition(f).class_of))
     E = FccEncoder(f=f, t=t, r=code.r, parity=parity)
     if fdm is not None:
         E.__dict__["_class_view"] = (words, fdm)  # the cached_property's slot

@@ -259,21 +259,23 @@ def n_q_exact(
     if r_cap < 0:
         raise ValueError(f"the length cap must be >= 0, got {r_cap}")
     _refuse_order(D.order)
+    m, entries = D.order, set(b"".join(D.rows)) - {0}
+    pairs = [  # per row i, (j, e) for every later row j with an entry e > 0
+        [(j, e) for j, e in enumerate(row[i + 1 :], i + 1) if e]
+        for i, row in enumerate(D.rows)
+    ]
     for r in range(D.max_entry(), r_cap + 1):
         if over := _count_over(q, r, ENUMERATION_LIMIT):
             raise SizeLimitError(f"q^r = {over} exceeds the limit {ENUMERATION_LIMIT}")
-        m, size, full = D.order, q**r, (1 << q**r) - 1
-        balls = {e: differences(q, r, 0, e - 1) for e in set(b"".join(D.rows)) if e}
+        size, full = q**r, (1 << q**r) - 1
+        balls = {e: differences(q, r, 0, e - 1) for e in entries}
         # Words at distance >= e from word c, one cache per e; at most 16 MiB held.
         cap = (1 << 27) // (size * len(balls) or 1) + 1
         far = {
             e: lru_cache(cap)(lambda c, b=b: full ^ _bitmask(translate(q, c, b), size))
             for e, b in balls.items()
         }
-        later = [
-            [(j, far[e]) for j, e in enumerate(row[i + 1 :], i + 1) if e]
-            for i, row in enumerate(D.rows)
-        ]
+        later = [[(j, far[e]) for j, e in row] for row in pairs]
         # One frame (domains, untried words, chosen word) per row above `level`.
         domains, allowed, level, stack = [1] + [full] * (m - 1), 1, 0, []
         if deadline is not None and monotonic() > deadline:

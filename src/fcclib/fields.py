@@ -173,7 +173,7 @@ def translate_ranks(q: int, ranks: list[int], diff: Difference) -> list[int]:
     distinct = list(dict.fromkeys(ranks))
     moved = distinct
     for p, s in zip(support, symbols):
-        moved = [j + ((j // p + s) % q - j // p % q) * p for j in moved]
+        moved = [j + (((d := j // p % q) + s) % q - d) * p for j in moved]
     return list(map(dict(zip(distinct, moved)).__getitem__, ranks))
 
 

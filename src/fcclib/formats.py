@@ -7,14 +7,15 @@ return the full file text; callers put it on disk.  Digit-string fields
 readers and renderers reject q > 10; function files separate their symbols
 with spaces and take any prime q.  The `rank value` bodies of table function
 files and encoder files share one reader, ``_read_rank_body``: line count,
-two fields, rank in range, no rank twice, then one parse per value.  Every
-integer field of every file, and of the inline ``--matrix`` rows, goes through
-``_int``, whose refusal names the file or flag and the text.
+then per line two fields, rank in range and no rank twice, and one parse
+per distinct value text.  Every integer field of every file, and of the
+inline ``--matrix`` rows, goes through ``_int``, whose refusal names the
+file or flag and the text.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from .bounds import AqEstimate, AqTable, BoundReport, CompareRow
@@ -28,12 +29,7 @@ TABLE_KINDS = ("exact", "upper", "lower")
 
 
 def _data_lines(text: str) -> list[str]:
-    out = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
-            out.append(stripped)
-    return out
+    return [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
 
 
 def _int(path, text: str) -> int:
@@ -55,13 +51,15 @@ def _refuse_enumeration(path, what: str, q: int, k: int) -> None:
 
 
 def _read_rank_body(path, body, size: int, kind: str, fields: str, parse) -> list:
-    """The values of ``size`` lines ``rank value``, one per rank, each read by
-    ``parse``.  Refusals name the lines ``kind`` and their fields ``fields``,
-    whose first field, underscores read as spaces, names the rank."""
+    """The values of ``size`` lines ``rank value``, one per rank, each distinct
+    value text read once by ``parse``.  Refusals name the lines ``kind`` and
+    their fields ``fields``, whose first field, underscores read as spaces,
+    names the rank."""
     if len(body) != size:
         raise ValueError(f"{path}: expected {size} {kind} lines, got {len(body)}")
     rank_name = fields.split()[0].replace("_", " ")
     values: list = [None] * size
+    parse = cache(parse)
     for line in body:
         parts = line.split()
         if len(parts) != 2:
@@ -227,10 +225,9 @@ def render_encoder_file(E: FccEncoder, header_lines=()) -> str:
     """Header `q k r t`, then one `message_rank parity_digits` line per
     message ('-' stands for the empty parity word when r = 0)."""
     _require_digit_field(E.q)
+    texts = {w: "".join(map(str, w)) or "-" for w in dict.fromkeys(E.parity)}
     lines = [f"{E.q} {E.k} {E.r} {E.t}"]
-    for rank in range(E.q**E.k):
-        word = "".join(str(d) for d in E.parity[rank])
-        lines.append(f"{rank} {word or '-'}")
+    lines += [f"{rank} {texts[w]}" for rank, w in enumerate(E.parity)]
     return _comment_block(header_lines) + "\n".join(lines) + "\n"
 
 

@@ -110,7 +110,8 @@ class FccEncoder:
     parity word and the words meet f's function-distance matrix (or
     ``cosets._class_encoder`` checked them on a matrix it was given),
     ``_class_view`` holds them and the matrix, and ``find_fcc_violation``
-    and ``decode`` read it instead of the messages."""
+    and ``decode`` read it instead of the messages.  The length and symbol
+    checks run once per distinct parity word, first occurrence first."""
 
     f: FunctionSpec
     t: int
@@ -126,7 +127,7 @@ class FccEncoder:
         expect = _count_over(self.f.q, self.f.k, n) or self.f.q**self.f.k
         if expect != n:
             raise ValueError(f"expected {expect} parity words, got {n}")
-        for word in self.parity:
+        for word in dict.fromkeys(self.parity):
             if len(word) != self.r:
                 raise ValueError(f"parity word {word} does not have length {self.r}")
             if any(not 0 <= d < self.f.q for d in word):

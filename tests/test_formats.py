@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import fcclib.formats
 from fcclib import (
     AqEstimate,
     FccEncoder,
@@ -12,8 +13,10 @@ from fcclib import (
     build_drm,
     build_graph,
     compare_report,
+    coset_decomposition,
     linear_function,
     spectrum_of,
+    table_function,
 )
 from fcclib.formats import (
     label_text,
@@ -72,6 +75,16 @@ def test_function_file_round_trips(tmp_path, ex_q2_k4, or_q2_k3, const_q2_k3):
         else:
             assert back.table == f.table
     assert (tmp_path / "f0.func").read_text().startswith("# round-trip case\n")
+
+
+def test_table_file_with_repeated_labels_reads_back_equal(tmp_path):
+    f = table_function(3, 2, [12, 0, 12, 5, 12, 0, 5, 5, 12])
+    path = tmp_path / "rep.func"
+    path.write_text(render_function_file(f))
+    assert read_function_file(path) == f
+    # Equal values written as different texts are parsed text by text.
+    path.write_text("2 2 0 table\n0 7\n1 07\n2 7\n3 007\n")
+    assert read_function_file(path) == table_function(2, 2, [7] * 4)
 
 
 def test_function_file_rejections(tmp_path):
@@ -165,6 +178,56 @@ def test_encoder_file_round_trip(tmp_path, ex_q2_k4, const_q2_k3):
     path0.write_text(render_encoder_file(trivial))
     assert " -" in path0.read_text()
     assert read_encoder_file(path0, const_q2_k3) == trivial
+
+
+def _class_parity(f, words):
+    return tuple(words[c] for c in coset_decomposition(f).class_of)
+
+
+def _per_rank_rendering(E, header_lines=()):
+    """render_encoder_file as one join per message, the reference for the
+    renderer that joins each distinct word once."""
+    lines = [f"{E.q} {E.k} {E.r} {E.t}"]
+    for rank in range(E.q**E.k):
+        word = "".join(str(d) for d in E.parity[rank])
+        lines.append(f"{rank} {word or '-'}")
+    return "".join(f"# {h}\n" for h in header_lines) + "\n".join(lines) + "\n"
+
+
+def test_encoder_file_matches_per_rank_rendering(ex_q2_k4, ex_q3_k2, const_q2_k3):
+    rng = random.Random(20261022)
+    binary = _class_parity(ex_q2_k4, [(0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1)])
+    ternary = _class_parity(ex_q3_k2, [(0, 0), (1, 2), (2, 1)])
+    cases = [
+        FccEncoder(f=ex_q2_k4, t=1, r=3, parity=binary),
+        FccEncoder(f=ex_q3_k2, t=1, r=2, parity=ternary),
+        FccEncoder(f=const_q2_k3, t=2, r=0, parity=((),) * 8),
+    ]
+    for q, k, r in [(2, 4, 2), (3, 3, 1), (3, 2, 3)]:
+        f = rand_linear(rng, q, k, 1)
+        words = [tuple(rng.randrange(q) for _ in range(r)) for _ in range(q**k)]
+        cases.append(FccEncoder(f=f, t=1, r=r, parity=tuple(words)))
+    for E in cases:
+        assert render_encoder_file(E, ["head"]) == _per_rank_rendering(E, ["head"])
+
+
+def test_encoder_file_parses_each_distinct_word_once(tmp_path, monkeypatch, ex_q3_k2):
+    words = [(0, 0), (1, 2), (2, 1)]
+    E = FccEncoder(f=ex_q3_k2, t=1, r=2, parity=_class_parity(ex_q3_k2, words))
+    path = tmp_path / "class.enc"
+    path.write_text(render_encoder_file(E))
+    parsed = []
+    parse = fcclib.formats._parse_parity_word
+
+    def counting_parse(path, text, q):
+        parsed.append(text)
+        return parse(path, text, q)
+
+    monkeypatch.setattr(fcclib.formats, "_parse_parity_word", counting_parse)
+    back = read_encoder_file(path, ex_q3_k2)
+    assert back == E
+    assert sorted(parsed) == ["00", "12", "21"]
+    assert len({id(word) for word in back.parity}) == len(words)
 
 
 def test_encoder_file_rejections(tmp_path, ex_q2_k4, ex_q3_k2):

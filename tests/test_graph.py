@@ -602,6 +602,17 @@ def test_encoder_validation(ex_q2_k3):
         FccEncoder(f=ex_q2_k3, t=1, r=1, parity=((0, 0),) * 8)
     with pytest.raises(ValueError):
         FccEncoder(f=ex_q2_k3, t=1, r=1, parity=((2,),) * 8)
+    # Each distinct word is checked once; the refusal names the first bad
+    # word in parity order.
+    refusals = {
+        ((0,), (3,), (2,), (0, 0), (3,), (2,), (0, 0), (1,)):
+            "parity word (3,) has symbols outside F_2",
+        ((0,), (1, 1), (2,), (1, 1), (2,), (0,), (0,), (1,)):
+            "parity word (1, 1) does not have length 1",
+    }
+    for parity, message in refusals.items():
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FccEncoder(f=ex_q2_k3, t=1, r=1, parity=parity)
 
 
 def test_encoder_size_refusal_prints_no_huge_power():

@@ -57,6 +57,13 @@ def test_encoder_file_refusals(tmp_path):
             "expected a digit string, got '\u0661'",
         "3 2 1 1\n" + _lines([(0, 5)] + good[1:]):
             "parity word '5' has symbols outside [0, 3)",
+        # A bad word repeated on several lines fails on its first line,
+        # before the rank listed twice between its occurrences ...
+        "3 2 1 1\n" + _lines([(0, 0), (1, 7), (1, 0), (3, 7)] + good[4:]):
+            "parity word '7' has symbols outside [0, 3)",
+        # ... and after a fault on an earlier line.
+        "3 2 1 1\n" + _lines([(0, 0), (0, 1), (2, 7), (3, 7)] + good[4:]):
+            "message rank 0 listed twice",
     }
     for i, (text, message) in enumerate(cases.items()):
         assert _refusal(tmp_path, f"e{i}.enc", text, reader) == message
