@@ -17,6 +17,7 @@ from .distance import _fdm_search, _pairwise_plotkin, build_fdm
 from .errors import BudgetExceededError, SizeLimitError
 from .fields import (
     VectorIndex,
+    _cayley_rows,
     _check_prime,
     _count_over,
     differences,
@@ -35,7 +36,7 @@ from .functions import (
     image_size,
     kernel_weight_sum,
 )
-from .graph import EXACT_ALPHA_LIMIT, _cayley_rows, build_graph
+from .graph import EXACT_ALPHA_LIMIT, build_graph
 from .mis import DEFAULT_NODE_BUDGET, max_independent_set
 from .spectrum import eigenvalue_redundancy_bound
 
@@ -84,7 +85,7 @@ def a_q_exact(
 
     The graph is a Cayley graph on F_q^n: row v is v + B, B the non-zero
     words of weight below d, built from row 0 by whole-row digit shifts
-    (``graph._cayley_rows``).  A maximum code can be translated to hold 0,
+    (``fields._cayley_rows``).  A maximum code can be translated to hold 0,
     so the solver searches, in place, only the non-zero words outside 0 + B.
 
     Conventions at the degenerate edges: length 0 admits one code word when

@@ -25,7 +25,7 @@ from time import monotonic
 
 from . import __version__
 from .bounds import bound_report, compare_report
-from .cosets import _class_encoder, build_cosetwise_encoder
+from .cosets import build_cosetwise_encoder
 from .distance import (
     _fdm_search,
     _pairwise_order,
@@ -56,6 +56,7 @@ from .functions import _check_t, linear_function
 from .graph import (
     EXACT_ALPHA_LIMIT,
     GRAPH_VERTEX_LIMIT,
+    _class_encoder,
     build_graph,
     decode as graph_decode,
     extract_fcc,

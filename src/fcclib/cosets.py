@@ -4,10 +4,10 @@ For linear functions whose matrix has exactly l distinct non-zero columns,
 unit vectors picked from those columns span a transversal of minimum-weight
 coset representatives.  Messages then inherit the parity word of their
 coset's representative, so a parity set designed for the q^l representatives
-protects the whole space.  One expander turns a word per class into an
-``FccEncoder`` table; ``fcc construct``'s default route feeds it the words of
-the function-distance search.  The words are checked against the
-function-distance matrix once and kept as the encoder's class view;
+protects the whole space.  ``build_cosetwise_encoder`` orders such words
+by class and hands them to the class-encoder expander, which lives beside
+``FccEncoder`` in ``graph`` (``graph._class_encoder``), as does the class
+view it sets: the words, checked against the function-distance matrix once.
 ``graph.verify_fcc`` then reads that check, and ``graph.decode`` decodes
 linear f on the classes.
 """
@@ -16,14 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .distance import (
-    DistanceMatrix,
-    ParityCode,
-    build_fdm,
-    matrix_from_lists,
-    verify_d_code,
-)
-from .errors import CodeNotFoundError
+from .distance import DistanceMatrix, ParityCode, build_fdm, matrix_from_lists
 from .fields import _pivot_columns
 from .functions import (
     FunctionSpec,
@@ -34,7 +27,7 @@ from .functions import (
     linear_function,
     min_weight_representatives,
 )
-from .graph import FccEncoder
+from .graph import FccEncoder, _class_encoder
 
 
 @dataclass(frozen=True)
@@ -99,26 +92,6 @@ def cosetwise_requirements(f: FunctionSpec, t: int) -> DistanceMatrix:
     cls = sel.class_indices
     rows = tuple(bytes(fdm[a][b] for b in cls) for a in cls)
     return DistanceMatrix(rows=rows, labels=sel.truncated)
-
-
-def _class_encoder(
-    f: FunctionSpec, t: int, code: ParityCode, fdm: DistanceMatrix | None = None
-) -> FccEncoder:
-    """Encoder giving every message its class's word: ``code`` holds one word
-    per class in function-distance-matrix order, and parity[rank] =
-    words[class_of[rank]].  Given f's matrix ``fdm`` at t, the words are
-    checked against it (CodeNotFoundError when they fail) and become the
-    encoder's class view, so verification builds no second matrix."""
-    if fdm is not None and not verify_d_code(code, fdm):
-        raise CodeNotFoundError(
-            "parity words violate the function-distance requirements"
-        )
-    words = code.words
-    parity = tuple(map(words.__getitem__, coset_decomposition(f).class_of))
-    E = FccEncoder(f=f, t=t, r=code.r, parity=parity)
-    if fdm is not None:
-        E.__dict__["_class_view"] = (words, fdm)  # the cached_property's slot
-    return E
 
 
 def build_cosetwise_encoder(

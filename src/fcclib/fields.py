@@ -8,18 +8,20 @@ The rank core adds vectors without decoding them: ``translate`` moves one rank
 by a list of sparse differences, ``translate_ranks`` moves a list of ranks by
 one difference, ``increment`` moves a whole set of ranks, held as one
 bitmask, by a unit vector in two masked shifts, and ``translate_mask`` moves
-such a set by a sparse difference, one increment at a time.  Decoding
+such a set by a sparse difference, one increment at a time.  ``_cayley_rows``
+builds every row of a Cayley graph from row 0 by increments.  Decoding
 (``graph.decode``) needs none of them: it moves its ball on the digits of
 the received word, which it already holds.  The same one-digit-at-a-time
-recurrence builds the class map of a function
-(``functions.coset_decomposition``) and the table of every rank's Hamming
-weight (``weights``), so no reader decodes the whole space to tuples.
+recurrence lists a span (``span_ranks``: the values of a linear function in
+``functions.coset_decomposition``, the cosets of its row space in
+``spectrum._shell_sums``) and the table of every rank's Hamming weight
+(``weights``), so no reader decodes the whole space to tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import comb
 from operator import mul, ne
 
@@ -165,7 +167,7 @@ def translate_ranks(q: int, ranks: list[int], diff: Difference) -> list[int]:
 
     The whole-list form of ``translate``: one XOR per rank when q = 2;
     otherwise the distinct ranks move one digit of the support at a time, and
-    a table of them moves the list.
+    a table of them moves a list that repeats ranks.
     """
     rank, support, symbols = diff
     if q == 2:
@@ -174,7 +176,33 @@ def translate_ranks(q: int, ranks: list[int], diff: Difference) -> list[int]:
     moved = distinct
     for p, s in zip(support, symbols):
         moved = [j + (((d := j // p % q) + s) % q - d) * p for j in moved]
+    if len(distinct) == len(ranks):
+        return moved
     return list(map(dict(zip(distinct, moved)).__getitem__, ranks))
+
+
+def span_ranks(q: int, n: int, vectors) -> list[int]:
+    """Ranks in F_q^n of c_1 v_1 + ... + c_m v_m, the sum for c at position
+    c_1 + c_2 q + ... + c_m q^(m-1), over ``vectors`` v (each n symbols, read
+    once): each v appends q - 1 copies of the list so far, each the last one
+    moved by v.  A q^m past ENUMERATION_LIMIT is refused before any list."""
+    m = len(vectors)
+    if _count_over(q, m, ENUMERATION_LIMIT):
+        raise ValueError(
+            f"q^k for q={q}, k={m} exceeds the enumeration limit {ENUMERATION_LIMIT}"
+        )
+    places = [q ** (n - 1 - p) for p in range(n)]
+    ranks = [0]
+    for v in vectors:
+        nonzero = [(p, s) for p, s in zip(places, v) if s]
+        support = tuple(p for p, _ in nonzero)
+        symbols = tuple(s for _, s in nonzero)
+        diff = (sum(map(mul, support, symbols)), support, symbols)
+        copies = [ranks]
+        for _ in range(1, q):
+            copies.append(translate_ranks(q, copies[-1], diff))
+        ranks = list(chain.from_iterable(copies))
+    return ranks
 
 
 def weights(q: int, n: int) -> bytes:
@@ -217,6 +245,24 @@ def translate_mask(q: int, bits: int, diff: Difference, masks) -> int:
         for _ in range(symbol):
             bits = increment(q, bits, place, masks[place])
     return bits
+
+
+def _cayley_rows(q: int, n_vertices: int, diffs: list[Difference]) -> list[int]:
+    """Bit-packed rows of the graph on ranks 0..n_vertices-1 whose row i is
+    the set i + z over the differences z in ``diffs``.
+
+    Row 0 is the set of difference ranks (0 + z = z); row i is row
+    i - place shifted by the unit vector at place, the leading digit place
+    of i.
+    """
+    rows = [_bitmask((z for z, _, _ in diffs), n_vertices)]
+    place = 1
+    while place < n_vertices:
+        masks = increment_masks(q, n_vertices, place)
+        for j in range((q - 1) * place):
+            rows.append(increment(q, rows[j], place, masks))
+        place *= q
+    return rows
 
 
 def _bitmask(bits, size: int) -> int:

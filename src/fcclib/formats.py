@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import cache, partial
 from pathlib import Path
 
-from .bounds import AqEstimate, AqTable, BoundReport, CompareRow
+from .bounds import AqEstimate, AqTable, BoundReport
 from .distance import DistanceMatrix, ParityCode, matrix_from_lists
 from .fields import ENUMERATION_LIMIT, _count_over, is_prime
 from .functions import FunctionSpec, _check_domain, linear_function, table_function

@@ -13,19 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, product, repeat
-from operator import mul
+from itertools import product, repeat
 
 from .fields import (
-    ENUMERATION_LIMIT,
-    Difference,
     FieldVec,
     VectorIndex,
     _check_prime,
     _count_over,
     hamming_distance,
     matrix_rank,
-    translate_ranks,
+    span_ranks,
     weights,
 )
 
@@ -175,32 +172,20 @@ def coset_decomposition(f: FunctionSpec) -> CosetDecomposition:
 
     The values of all q^k messages are built in rank form, with no ``eval``
     or ``translate`` call per message.  A table f supplies them as its table.
-    For linear f the columns are taken last first: a digit d put in front of
-    the messages so far adds d times that column to each value, so each
-    column appends q - 1 copies of the list, each the last one moved by the
-    column (``fields.translate_ranks``), and the ranks stay in order.  One
-    dict numbers the classes in order of first appearance; only the q^l
-    labels are decoded to tuples, each from two tables of half-length words.
+    For linear f the value of message u is u_1 c_1 + ... + u_k c_k over f's
+    columns c, so the span of the columns taken last first
+    (``fields.span_ranks``, which refuses a q^k past the enumeration limit)
+    lists the values in message rank order.  One dict numbers the classes
+    in order of first appearance; only the q^l labels are decoded to tuples,
+    each from two tables of half-length words.
     """
     q, k = f.q, f.k
-    if _count_over(q, k, ENUMERATION_LIMIT):
-        raise ValueError(
-            f"q^k for q={q}, k={k} exceeds the enumeration limit {ENUMERATION_LIMIT}"
-        )
     if f.mode == "table":
         values = f.table
     else:
         assert f.matrix is not None
-        places = [q ** (f.l - 1 - p) for p in range(f.l)]
-        values = [0]
-        for j in reversed(range(k)):
-            support = tuple(p for p, row in zip(places, f.matrix) if row[j])
-            symbols = tuple(row[j] for row in f.matrix if row[j])
-            column: Difference = (sum(map(mul, support, symbols)), support, symbols)
-            copies = [values]
-            for _ in range(1, q):
-                copies.append(translate_ranks(q, copies[-1], column))
-            values = list(chain.from_iterable(copies))
+        columns = [tuple(row[j] for row in f.matrix) for j in reversed(range(k))]
+        values = span_ranks(q, f.l, columns)
     seen = dict.fromkeys(values)
     index = dict(zip(seen, range(len(seen))))
     class_of = tuple(map(index.__getitem__, values))

@@ -46,6 +46,7 @@ from .fields import (
     Difference,
     VectorIndex,
     _bitmask,
+    _cayley_rows,
     _count_over,
     differences,
     hamming_distance,
@@ -108,7 +109,7 @@ class FccEncoder:
 
     When f is linear with m^2 <= q^k classes, every class shares one
     parity word and the words meet f's function-distance matrix (or
-    ``cosets._class_encoder`` checked them on a matrix it was given),
+    ``_class_encoder`` below checked them on a matrix it was given),
     ``_class_view`` holds them and the matrix, and ``find_fcc_violation``
     and ``decode`` read it instead of the messages.  The length and symbol
     checks run once per distinct parity word, first occurrence first."""
@@ -171,7 +172,7 @@ class FccEncoder:
         linear f with m^2 <= q^k classes is tried: for any other f the
         matrix walks every message (table f) or has more entries than the
         table has words, so the bit-plane sweep serves it.
-        ``cosets._class_encoder`` sets the view of words it has checked."""
+        ``_class_encoder`` below sets the view of words it has checked."""
         classes = self._classes
         if self.f.mode != "linear" or len(classes) ** 2 > len(self.parity):
             return None
@@ -197,6 +198,26 @@ class FccEncoder:
         )
 
 
+def _class_encoder(
+    f: FunctionSpec, t: int, code: ParityCode, fdm: DistanceMatrix | None = None
+) -> FccEncoder:
+    """Encoder giving every message its class's word: ``code`` holds one word
+    per class in function-distance-matrix order, and parity[rank] =
+    words[class_of[rank]].  Given f's matrix ``fdm`` at t, the words are
+    checked against it (CodeNotFoundError when they fail) and become the
+    encoder's class view, so verification builds no second matrix."""
+    if fdm is not None and not verify_d_code(code, fdm):
+        raise CodeNotFoundError(
+            "parity words violate the function-distance requirements"
+        )
+    words = code.words
+    parity = tuple(map(words.__getitem__, coset_decomposition(f).class_of))
+    E = FccEncoder(f=f, t=t, r=code.r, parity=parity)
+    if fdm is not None:
+        E.__dict__["_class_view"] = (words, fdm)  # the cached_property's slot
+    return E
+
+
 def _connection_set(f: FunctionSpec, t: int, r: int) -> list[Difference]:
     """Differences z with vertex 0 adjacent to vertex z: a non-zero parity
     part alone, or a message outside f's zero class with wt(z) < 2t+1."""
@@ -207,24 +228,6 @@ def _connection_set(f: FunctionSpec, t: int, r: int) -> list[Difference]:
         for z in differences(f.q, f.k + r, 1, 2 * t)
         if cls[z[0] // p_count] != cls[0]
     ]
-
-
-def _cayley_rows(q: int, n_vertices: int, diffs: list[Difference]) -> list[int]:
-    """Bit-packed rows of the graph on ranks 0..n_vertices-1 whose row i is
-    the set i + z over the differences z in ``diffs``.
-
-    Row 0 is the set of difference ranks (0 + z = z); row i is row
-    i - place shifted by the unit vector at place, the leading digit place
-    of i.
-    """
-    rows = [_bitmask((z for z, _, _ in diffs), n_vertices)]
-    place = 1
-    while place < n_vertices:
-        masks = increment_masks(q, n_vertices, place)
-        for j in range((q - 1) * place):
-            rows.append(increment(q, rows[j], place, masks))
-        place *= q
-    return rows
 
 
 def build_graph(f: FunctionSpec, t: int, r: int) -> FccGraph:
@@ -348,7 +351,7 @@ def find_fcc_violation(
         return None
     q, k = E.f.q, E.f.k
     size = q**k
-    cls = coset_decomposition(E.f).class_of
+    cls = E._classes.class_of
     need = 2 * E.t + 1
     near = differences(q, k, 1, 2 * E.t)
     masks = {q**p: increment_masks(q, size, q**p) for p in range(k)}

@@ -25,9 +25,7 @@ from itertools import accumulate, chain, repeat
 from math import comb
 from operator import mul
 
-from .fields import (
-    ENUMERATION_LIMIT, _count_over, _pivot_columns, translate_ranks, weights
-)
+from .fields import ENUMERATION_LIMIT, _count_over, _pivot_columns, span_ranks, weights
 from .functions import FunctionSpec, _check_t, _require_linear
 
 
@@ -93,26 +91,14 @@ def _shell_sums(
     (S_1(a), ..., S_W(a)), W = min(2t, k)."""
     _check_t(t)
     q, k, rows = f.q, f.k, f.matrix
-    if _count_over(q, k, ENUMERATION_LIMIT):
-        raise ValueError(
-            f"q^k for q={q}, k={k} exceeds the enumeration limit {ENUMERATION_LIMIT}"
-        )
-    # One word of each coset is zero on the pivot columns.  The rows of f
-    # list R, one copy of the list per multiple, as coset_decomposition
-    # grows its values; the unit vectors off the pivots then move the whole
-    # list to each other coset, so ranks[i * size:(i + 1) * size] is one.
+    # One word of each coset is zero on the pivot columns.  The span of f's
+    # rows, then of the units off the pivots (``fields.span_ranks``, which
+    # refuses a q^k past the limit before it reads these lazy units) lists R
+    # and then moves it to each coset: ranks[i * size:(i + 1) * size] is one.
     pivots = _pivot_columns(q, rows)
-    units = [[int(j == c) for j in range(k)] for c in range(k) if c not in pivots]
-    places = [q ** (k - 1 - j) for j in range(k)]
-    ranks = [0]
-    for v in list(rows) + units:
-        support = tuple(p for p, s in zip(places, v) if s)
-        symbols = tuple(s for s in v if s)
-        diff = (sum(map(mul, support, symbols)), support, symbols)
-        copies = [ranks]
-        for _ in range(1, q):
-            copies.append(translate_ranks(q, copies[-1], diff))
-        ranks = list(chain.from_iterable(copies))
+    off = [c for c in range(k) if c not in pivots]
+    units = [chain(repeat(0, c), (1,), repeat(0, k - 1 - c)) for c in off]
+    ranks = span_ranks(q, k, [*rows, *units])
     size = q ** len(rows)
     row = bytes(map(weights(q, k).__getitem__, ranks))
     census = [bytes(sorted(row[i : i + size])) for i in range(0, len(row), size)]

@@ -646,9 +646,9 @@ def test_report_builds_no_drm_and_no_connection_row(monkeypatch):
             wrapped = lambda *a, real=real: calls.append("build_drm") or real(*a)
             monkeypatch.setattr(module, "build_drm", wrapped)
     # No length-q^(k+r) row: the eigenvalue row lists only the q^k messages.
-    translate_ranks = fcclib.spectrum.translate_ranks
-    wrapped = lambda *a: lengths.append(len(out := translate_ranks(*a))) or out
-    monkeypatch.setattr(fcclib.spectrum, "translate_ranks", wrapped)
+    span_ranks = fcclib.spectrum.span_ranks
+    wrapped = lambda *a: lengths.append(len(out := span_ranks(*a))) or out
+    monkeypatch.setattr(fcclib.spectrum, "span_ranks", wrapped)
     proj6 = _bounds_cells()[1][0]
     report = bound_report(proj6, 2, node_budget=2_000)
     assert {e.name for e in report.entries if e.integer is not None} >= {

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fcclib import VectorIndex, hamming_ball_size, hamming_distance
+import fcclib.fields
+from fcclib import VectorIndex, hamming_ball_size, hamming_distance, linear_function
+from fcclib.functions import coset_decomposition
 from fcclib.fields import (
     _bitmask,
     differences,
@@ -17,6 +19,7 @@ from fcclib.fields import (
     is_prime,
     matrix_rank,
     negated_difference,
+    span_ranks,
     translate,
     translate_mask,
     translate_ranks,
@@ -171,11 +174,66 @@ def test_differences_and_translate_match_symbolwise_addition():
             for i, u in enumerate(words):
                 sums = [tuple((a + b) % q for a, b in zip(u, z)) for z in zs]
                 assert translate(q, i, diffs) == [words.index(s) for s in sums]
-            # the whole-list form, on a list that repeats ranks
-            ranks = [*range(len(words)), *range(len(words) - 1, -1, -2), 0]
-            for diff, z in zip(diffs, zs):
-                sums = [tuple((a + b) % q for a, b in zip(words[i], z)) for i in ranks]
-                assert translate_ranks(q, ranks, diff) == [words.index(s) for s in sums]
+            # the whole-list form, on a list that repeats ranks and on a
+            # shuffled list of distinct ranks
+            repeated = [*range(len(words)), *range(len(words) - 1, -1, -2), 0]
+            distinct = random.Random(q * n).sample(range(len(words)), len(words) - 1)
+            for ranks in (repeated, distinct):
+                for diff, z in zip(diffs, zs):
+                    sums = [
+                        tuple((a + b) % q for a, b in zip(words[i], z)) for i in ranks
+                    ]
+                    moved = [words.index(s) for s in sums]
+                    assert translate_ranks(q, ranks, diff) == moved
+
+
+def test_span_ranks_lists_every_combination_in_coefficient_order():
+    rng = random.Random(1111)
+    for q in (2, 3, 5):
+        for n in (1, 2, 3):
+            words = all_words(q, n)
+            for m in range(5 if q < 5 else 4):
+                for _ in range(4):
+                    vectors = [rng.choice(words) for _ in range(m)]
+                    if m >= 2:
+                        vectors[-1] = vectors[0]  # a repeated vector
+                    if m >= 3:
+                        vectors[1] = (0,) * n  # the zero vector
+                    # coefficient c_1 varies fastest
+                    want = []
+                    for c in itertools.product(range(q), repeat=m):
+                        c = c[::-1]
+                        total = [0] * n
+                        for ci, v in zip(c, vectors):
+                            total = [(a + ci * b) % q for a, b in zip(total, v)]
+                        want.append(words.index(tuple(total)))
+                    assert span_ranks(q, n, vectors) == want
+                    # each vector may be any iterable, read once
+                    assert span_ranks(q, n, [iter(v) for v in vectors]) == want
+        assert span_ranks(q, 3, []) == [0]
+
+
+def test_span_ranks_refuses_past_the_limit_before_building_a_list(monkeypatch):
+    # at the limit the list is built; past it, the refusal comes before any
+    # list or any read of a vector, with coset_decomposition's text
+    monkeypatch.setattr(fcclib.fields, "ENUMERATION_LIMIT", 3**3)
+    assert sorted(span_ranks(3, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])) == [*range(27)]
+
+    def refuse(*args):
+        raise AssertionError("a list was built")
+
+    monkeypatch.setattr(fcclib.fields, "translate_ranks", refuse)
+    with pytest.raises(ValueError) as err:
+        span_ranks(3, 1, [None] * 4)
+    assert str(err.value) == "q^k for q=3, k=4 exceeds the enumeration limit 27"
+    coset_decomposition.cache_clear()
+    with pytest.raises(ValueError) as via:
+        coset_decomposition(linear_function(3, [(1, 2, 0, 1)]))
+    assert str(via.value) == str(err.value)
+    monkeypatch.undo()
+    with pytest.raises(ValueError) as err:
+        span_ranks(2, 4, [None] * 25)
+    assert str(err.value) == "q^k for q=2, k=25 exceeds the enumeration limit 16777216"
 
 
 def test_negated_difference_subtracts_its_rank():

@@ -32,17 +32,17 @@ def test_shell_spectra_match_direct_character_sums():
 
 
 def test_one_transform_per_call(monkeypatch):
-    # One growth loop lists F_q^k once: the translated ranks total at most
+    # One span listing covers F_q^k once: the listed ranks total at most
     # q^k whatever t is.
     returned = []
-    translate_ranks = fcclib.spectrum.translate_ranks
+    span_ranks = fcclib.spectrum.span_ranks
 
-    def counted(q, ranks, diff):
-        out = translate_ranks(q, ranks, diff)
+    def counted(q, n, vectors):
+        out = span_ranks(q, n, vectors)
         returned.append(len(out))
         return out
 
-    monkeypatch.setattr(fcclib.spectrum, "translate_ranks", counted)
+    monkeypatch.setattr(fcclib.spectrum, "span_ranks", counted)
     f = linear_function(2, [(1, 1, 1, 0, 1), (0, 1, 1, 0, 0)])
     totals = set()
     for t in (1, 2, 3):

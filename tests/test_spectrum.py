@@ -99,13 +99,13 @@ def test_spectrum_equals_whole_row_transform():
 
 
 def test_spectrum_transforms_only_the_message_row(monkeypatch, ex_q2_k3, ex_q3_k2):
-    # The ranks translated total at most q^k, the same at every t: no list
+    # The ranks listed total at most q^k, the same at every t: no list
     # over the q^(k+r) vertices is built.
     lengths = []
-    real = fcclib.spectrum.translate_ranks
+    real = fcclib.spectrum.span_ranks
     monkeypatch.setattr(
         fcclib.spectrum,
-        "translate_ranks",
+        "span_ranks",
         lambda *a: lengths.append(len(out := real(*a))) or out,
     )
     for f, r in ((ex_q2_k3, 3), (ex_q3_k2, 2)):
